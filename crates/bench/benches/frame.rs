@@ -80,7 +80,6 @@ fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 
 struct FrameCase {
     grid: usize,
-    backend: BackendKind,
     considered: u64,
     pruned_window: u64,
     pruned_mexcl: u64,
@@ -92,24 +91,34 @@ struct FrameCase {
     margins_match_feasible_subset: bool,
 }
 
-/// One (grid, backend) point on the constrained fixture: counters from a
-/// pruned run, median wall times for pruned vs exhaustive enumeration.
-fn run_case(grid: usize, backend: BackendKind, reps: usize) -> FrameCase {
+/// `constrained_worst_case` on `model`; its backend argument selects
+/// nothing.
+fn frame(
+    model: &ClusterMacromodel,
+    n: &NoiseRejectionCurve,
+    grid: usize,
+    exhaustive: bool,
+) -> FrameOutcome {
+    constrained_worst_case(model, n, grid, exhaustive, BackendKind::Scalar).unwrap()
+}
+
+/// One grid point on the constrained fixture: counters from a pruned run,
+/// median wall times for pruned vs exhaustive enumeration.
+fn run_case(grid: usize, reps: usize) -> FrameCase {
     let model = constrained_model();
     let n = nrc();
-    let pruned: FrameOutcome = constrained_worst_case(&model, &n, grid, false, backend).unwrap();
-    let full = constrained_worst_case(&model, &n, grid, true, backend).unwrap();
+    let pruned = frame(&model, &n, grid, false);
+    let full = frame(&model, &n, grid, true);
     let pruned_ms = 1e3
         * median_secs(reps, || {
-            std::hint::black_box(constrained_worst_case(&model, &n, grid, false, backend).unwrap());
+            std::hint::black_box(frame(&model, &n, grid, false));
         });
     let exhaustive_ms = 1e3
         * median_secs(reps, || {
-            std::hint::black_box(constrained_worst_case(&model, &n, grid, true, backend).unwrap());
+            std::hint::black_box(frame(&model, &n, grid, true));
         });
     FrameCase {
         grid,
-        backend,
         considered: pruned.counters.considered,
         pruned_window: pruned.counters.pruned_window,
         pruned_mexcl: pruned.counters.pruned_mexcl,
@@ -125,7 +134,6 @@ fn run_case(grid: usize, backend: BackendKind, reps: usize) -> FrameCase {
 }
 
 struct AlignCase {
-    backend: BackendKind,
     evaluations_serial: usize,
     evaluations_batched: usize,
     serial_ms: f64,
@@ -136,21 +144,21 @@ struct AlignCase {
 /// Unconstrained `worst_case_alignment` vs its batched twin: same probe
 /// sequence (the 7-point grid pass runs as one K=7 batch), so evaluation
 /// counts match and the wall delta is pure batching overhead/win.
-fn run_align_case(backend: BackendKind, reps: usize) -> AlignCase {
+fn run_align_case(reps: usize) -> AlignCase {
     let model = ClusterMacromodel::build(&table2_spec()).expect("macromodel");
     let window = 400.0 * PS;
+    let batched_align = || worst_case_alignment_batched(&model, window, BackendKind::Scalar);
     let serial = worst_case_alignment(&model, window).unwrap();
-    let batched = worst_case_alignment_batched(&model, window, backend).unwrap();
+    let batched = batched_align().unwrap();
     let serial_ms = 1e3
         * median_secs(reps, || {
             std::hint::black_box(worst_case_alignment(&model, window).unwrap());
         });
     let batched_ms = 1e3
         * median_secs(reps, || {
-            std::hint::black_box(worst_case_alignment_batched(&model, window, backend).unwrap());
+            std::hint::black_box(batched_align().unwrap());
         });
     AlignCase {
-        backend,
         evaluations_serial: serial.evaluations,
         evaluations_batched: batched.evaluations,
         serial_ms,
@@ -159,7 +167,7 @@ fn run_align_case(backend: BackendKind, reps: usize) -> AlignCase {
     }
 }
 
-fn emit_json(cases: &[FrameCase], aligns: &[AlignCase]) {
+fn emit_json(cases: &[FrameCase], a: &AlignCase) {
     println!("{{");
     println!("  \"schema\": \"sna-bench-frame-v1\",");
     println!(
@@ -170,12 +178,11 @@ fn emit_json(cases: &[FrameCase], aligns: &[AlignCase]) {
     for (i, c) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
         println!(
-            "    {{\"grid\": {}, \"backend\": \"{:?}\", \"considered\": {}, \
+            "    {{\"grid\": {}, \"considered\": {}, \
              \"pruned_window\": {}, \"pruned_mexcl\": {}, \"simulated\": {}, \
              \"prune_rate\": {:.4}, \"pruned_ms\": {:.4}, \"exhaustive_ms\": {:.4}, \
              \"speedup_vs_exhaustive\": {:.4}}}{}",
             c.grid,
-            c.backend,
             c.considered,
             c.pruned_window,
             c.pruned_mexcl,
@@ -188,66 +195,52 @@ fn emit_json(cases: &[FrameCase], aligns: &[AlignCase]) {
         );
     }
     println!("  ],");
-    println!("  \"alignment\": [");
-    for (i, a) in aligns.iter().enumerate() {
-        let comma = if i + 1 < aligns.len() { "," } else { "" };
-        println!(
-            "    {{\"backend\": \"{:?}\", \"evaluations_serial\": {}, \
-             \"evaluations_batched\": {}, \"serial_ms\": {:.4}, \"batched_ms\": {:.4}, \
-             \"peak_agreement_v\": {:.3e}}}{}",
-            a.backend,
-            a.evaluations_serial,
-            a.evaluations_batched,
-            a.serial_ms,
-            a.batched_ms,
-            a.peak_agreement,
-            comma
-        );
-    }
-    println!("  ]");
+    println!(
+        "  \"alignment\": {{\"evaluations_serial\": {}, \"evaluations_batched\": {}, \
+         \"serial_ms\": {:.4}, \"batched_ms\": {:.4}, \"peak_agreement_v\": {:.3e}}}",
+        a.evaluations_serial, a.evaluations_batched, a.serial_ms, a.batched_ms, a.peak_agreement,
+    );
     println!("}}");
 }
 
 /// Smoke mode for CI: deterministic assertions only.
 fn self_test() {
-    for backend in [BackendKind::Scalar, BackendKind::Batched] {
-        let c = run_case(2, backend, 1);
-        assert!(
-            c.prune_rate >= 0.5,
-            "{backend:?}: constrained fixture prunes only {:.0}%",
-            c.prune_rate * 100.0
-        );
-        assert_eq!(c.considered, c.pruned_window + c.pruned_mexcl + c.simulated);
-        assert!(c.margins_match_feasible_subset);
+    let c = run_case(2, 1);
+    assert!(
+        c.prune_rate >= 0.5,
+        "constrained fixture prunes only {:.0}%",
+        c.prune_rate * 100.0
+    );
+    assert_eq!(c.considered, c.pruned_window + c.pruned_mexcl + c.simulated);
+    assert!(c.margins_match_feasible_subset);
 
-        // Fully feasible: pruned and exhaustive agree bitwise.
-        let model = feasible_model();
-        let n = nrc();
-        let pruned = constrained_worst_case(&model, &n, 3, false, backend).unwrap();
-        let full = constrained_worst_case(&model, &n, 3, true, backend).unwrap();
-        assert_eq!(
-            pruned.counters.pruned_window + pruned.counters.pruned_mexcl,
-            0
-        );
-        assert_eq!(pruned.margin.to_bits(), full.margin.to_bits());
-        assert_eq!(pruned.switch_times, full.switch_times);
+    // Fully feasible: pruned and exhaustive agree bitwise.
+    let model = feasible_model();
+    let n = nrc();
+    let pruned = frame(&model, &n, 3, false);
+    let full = frame(&model, &n, 3, true);
+    assert_eq!(
+        pruned.counters.pruned_window + pruned.counters.pruned_mexcl,
+        0
+    );
+    assert_eq!(pruned.margin.to_bits(), full.margin.to_bits());
+    assert_eq!(pruned.switch_times, full.switch_times);
 
-        let a = run_align_case(backend, 1);
-        assert_eq!(
-            a.evaluations_serial, a.evaluations_batched,
-            "{backend:?}: batched alignment changed the probe sequence"
-        );
-        assert!(
-            a.peak_agreement < 1e-6,
-            "{backend:?}: alignment peaks deviate {:.3e} V",
-            a.peak_agreement
-        );
-        println!(
-            "frame smoke [{backend:?}]: prune {:.0}%, align evals {} — ok",
-            c.prune_rate * 100.0,
-            a.evaluations_serial
-        );
-    }
+    let a = run_align_case(1);
+    assert_eq!(
+        a.evaluations_serial, a.evaluations_batched,
+        "batched alignment changed the probe sequence"
+    );
+    assert!(
+        a.peak_agreement < 1e-6,
+        "alignment peaks deviate {:.3e} V",
+        a.peak_agreement
+    );
+    println!(
+        "frame smoke: prune {:.0}%, align evals {} — ok",
+        c.prune_rate * 100.0,
+        a.evaluations_serial
+    );
     println!("frame bench self-test: OK");
 }
 
@@ -258,10 +251,10 @@ fn bench_frame(c: &mut Criterion) {
     let n = nrc();
     for grid in [2usize, 4] {
         group.bench_function(BenchmarkId::new("pruned", grid), |b| {
-            b.iter(|| constrained_worst_case(&model, &n, grid, false, BackendKind::Scalar).unwrap())
+            b.iter(|| frame(&model, &n, grid, false))
         });
         group.bench_function(BenchmarkId::new("exhaustive", grid), |b| {
-            b.iter(|| constrained_worst_case(&model, &n, grid, true, BackendKind::Scalar).unwrap())
+            b.iter(|| frame(&model, &n, grid, true))
         });
     }
     group.finish();
@@ -281,17 +274,8 @@ fn main() {
         .windows(2)
         .any(|w| w[0] == "--format" && w[1] == "json");
     if json {
-        let mut cases = Vec::new();
-        for backend in [BackendKind::Scalar, BackendKind::Batched] {
-            for grid in [2usize, 4, 6] {
-                cases.push(run_case(grid, backend, 5));
-            }
-        }
-        let aligns = [
-            run_align_case(BackendKind::Scalar, 5),
-            run_align_case(BackendKind::Batched, 5),
-        ];
-        emit_json(&cases, &aligns);
+        let cases: Vec<FrameCase> = [2usize, 4, 6].iter().map(|&g| run_case(g, 5)).collect();
+        emit_json(&cases, &run_align_case(5));
         return;
     }
     benches();

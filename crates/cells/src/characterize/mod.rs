@@ -48,8 +48,8 @@ pub struct CharacterizeOptions {
     /// Newton controls for the underlying analyses (including the linear
     /// solver selection, `newton.solver`).
     pub newton: NewtonOptions,
-    /// Compute backend for the K-lane batched sweeps the grid/height scans
-    /// run on (bit-identical results across backends).
+    /// Retired compute-backend selector: selects nothing. Kept only for
+    /// source compatibility with the benchmark harness.
     pub backend: BackendKind,
 }
 

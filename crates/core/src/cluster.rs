@@ -258,8 +258,8 @@ pub struct MacromodelOptions {
     /// (dense, sparse, or dimension-based auto selection). Also forwarded
     /// to every characterization analysis this build runs.
     pub solver: SolverKind,
-    /// Compute backend for the K-lane batched characterization sweeps
-    /// (scalar lane-outer or batched lane-inner; bit-identical results).
+    /// Retired compute-backend selector: selects nothing. Kept only for
+    /// source compatibility with the benchmark harness.
     pub backend: BackendKind,
 }
 
@@ -351,11 +351,10 @@ impl ClusterMacromodel {
         spec.validate()?;
         let _t = phase_span(Phase::Characterize);
         let vdd = spec.tech.vdd;
-        // The modeling options' solver/backend selections apply to the
+        // The modeling options' solver selection applies to the
         // characterization analyses too, not just the reduction.
         let mut char_opts = spec.char_opts;
         char_opts.newton.solver = options.solver;
-        char_opts.backend = options.backend;
         // --- Victim driver characterization (Eq. 1 + parasitics).
         let load_curve = match library {
             Some(lib) => {

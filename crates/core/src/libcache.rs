@@ -81,7 +81,7 @@ pub struct DiskLoadStats {
 }
 
 fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h = super::Fnv::new();
+    let mut h = sna_obs::Fnv::new();
     h.write_bytes(bytes);
     h.finish()
 }

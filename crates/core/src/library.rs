@@ -28,10 +28,8 @@
 //! technologies that share a name but differ in any model parameter can
 //! never alias, and a cache persisted to disk (see [`cache`], the
 //! `sna-libcache-v1` format) can be validated entry-by-entry at load
-//! time. The compute `backend` is deliberately *excluded* from the
-//! options fingerprint: backends are bit-identical by construction
-//! (enforced by tests and a CI `cmp` of full reports), so artifacts are
-//! interchangeable across them.
+//! time. The retired `backend` field of the options selects nothing and
+//! is not part of the options fingerprint.
 //!
 //! The store is internally sharded (`RwLock<HashMap>` per shard, keyed by
 //! hash) with atomically aggregated hit/miss counters, so a parallel flow
@@ -58,7 +56,7 @@ use sna_cells::characterize::{
     TheveninLoad,
 };
 use sna_cells::{Cell, DriverMode, Technology};
-use sna_obs::{phase_span, Phase};
+use sna_obs::{phase_span, Fnv, Phase};
 use sna_spice::devices::{MosPolarity, MosfetModel};
 use sna_spice::error::{Error, Result};
 use sna_spice::solver::SolverKind;
@@ -68,75 +66,6 @@ use crate::nrc::{characterize_nrc_with, NoiseRejectionCurve};
 
 #[path = "libcache.rs"]
 pub mod cache;
-
-/// Incremental FNV-1a hasher over typed scalar writes.
-///
-/// This is the cache's *semantic* fingerprint primitive: unlike
-/// `DefaultHasher` (which is randomized per process), FNV-1a over explicit
-/// little-endian byte encodings is stable across processes and builds, so
-/// fingerprints written into an on-disk cache file still validate when a
-/// different process loads them.
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Start a fresh hash at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    /// Mix raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Mix one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write_bytes(&[v]);
-    }
-
-    /// Mix a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Mix a `usize` (widened to `u64` so 32/64-bit hosts agree).
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Mix an `f64` by exact bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Mix a `bool`.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(u8::from(v));
-    }
-
-    /// Mix a string, length-prefixed so concatenations can't alias.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Stable `(tag, argument)` encoding of a [`SolverKind`] for fingerprints
 /// and the on-disk cache format.
@@ -201,8 +130,8 @@ pub fn tech_fingerprint(tech: &Technology) -> u64 {
 /// FNV-1a fingerprint of the characterization options that affect artifact
 /// *values*: the voltage grid and every Newton tolerance.
 ///
-/// `opts.backend` is deliberately excluded — backends are bit-identical by
-/// construction, so the same artifact serves both.
+/// `opts.backend` selects nothing and is left out, so fingerprints (and
+/// persisted cache files) match those written before it was retired.
 pub fn opts_fingerprint(opts: &CharacterizeOptions) -> u64 {
     let mut h = Fnv::new();
     h.write_usize(opts.grid);
@@ -865,6 +794,15 @@ mod tests {
         lib.load_curve(&cell, &mode, &coarse).unwrap();
         lib.load_curve(&cell, &mode, &fine).unwrap();
         assert_eq!(lib.stats().misses, 2);
+        // Newton tolerances feed the options fingerprint too.
+        let a = CharacterizeOptions::default();
+        let mut newton = a.newton;
+        newton.reltol *= 10.0;
+        let b = CharacterizeOptions {
+            newton,
+            ..Default::default()
+        };
+        assert_ne!(opts_fingerprint(&a), opts_fingerprint(&b));
     }
 
     #[test]
@@ -887,26 +825,6 @@ mod tests {
         let st = lib.stats();
         assert_eq!((st.hits, st.misses), (0, 2));
         assert_eq!(lib.len(), 2);
-    }
-
-    #[test]
-    fn options_fingerprint_excludes_backend() {
-        use sna_spice::backend::BackendKind;
-        let a = CharacterizeOptions::default();
-        let b = CharacterizeOptions {
-            backend: BackendKind::Batched,
-            ..Default::default()
-        };
-        // Backends are bit-identical by construction, so artifacts are
-        // interchangeable: same fingerprint, shared cache entries.
-        assert_eq!(opts_fingerprint(&a), opts_fingerprint(&b));
-        let mut newton = a.newton;
-        newton.reltol *= 10.0;
-        let c = CharacterizeOptions {
-            newton,
-            ..Default::default()
-        };
-        assert_ne!(opts_fingerprint(&a), opts_fingerprint(&c));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! tested; the binary is a thin `main`.
 
 use sna_cells::Technology;
-use sna_spice::backend::BackendKind;
 use sna_spice::solver::SolverKind;
 use sna_spice::units::PS;
 
@@ -62,9 +61,6 @@ pub struct CliConfig {
     /// solves *and* every characterization analysis (DC sweeps, NRC
     /// bisection and propagated-noise transients).
     pub solver: SolverKind,
-    /// Compute backend for the K-lane batched characterization sweeps
-    /// (bit-identical results across backends).
-    pub backend: BackendKind,
     /// Write an `sna-metrics-v1` JSON document here after the run.
     pub metrics: Option<String>,
     /// Write a chrome-trace (`chrome://tracing` / Perfetto) JSON here.
@@ -106,7 +102,6 @@ impl Default for CliConfig {
             strict: false,
             format: Format::Text,
             solver: SolverKind::Auto,
-            backend: BackendKind::default(),
             metrics: None,
             profile: None,
             log_level: LogLevel::Normal,
@@ -170,10 +165,6 @@ OPTIONS:
                           reduction (PRIMA) solves and every
                           characterization analysis; auto:<N> switches to
                           sparse at system dimension N
-    --backend <B>         scalar | batched                    [default: scalar]
-                          compute backend for the K-lane batched
-                          characterization sweeps (results are
-                          bit-identical across backends)
     --windows <FILE>      FRAME constraint file: per-aggressor switching
                           windows and mutual-exclusion groups (plus victim
                           sensitivity windows) applied to the generated
@@ -265,14 +256,6 @@ pub fn parse_args(args: &[String]) -> Result<CliConfig, String> {
                     },
                 };
             }
-            "--backend" => {
-                let raw: String = parse_value(arg, it.next())?;
-                cfg.backend = match raw.as_str() {
-                    "scalar" => BackendKind::Scalar,
-                    "batched" => BackendKind::Batched,
-                    other => return Err(format!("unknown backend '{other}'")),
-                };
-            }
             "--deck" => cfg.deck = Some(parse_value(arg, it.next())?),
             "--threshold" => {
                 let v: f64 = parse_value(arg, it.next())?;
@@ -357,7 +340,6 @@ pub fn run(cfg: &CliConfig) -> sna_spice::error::Result<String> {
         },
         mm: sna_core::cluster::MacromodelOptions {
             solver: cfg.solver,
-            backend: cfg.backend,
             ..Default::default()
         },
         threads: cfg.threads,
@@ -466,7 +448,6 @@ fn run_deck_mode(cfg: &CliConfig, deck: &str) -> sna_spice::error::Result<String
         strict: cfg.strict,
         threads,
         solver: cfg.solver,
-        backend: cfg.backend,
     };
     let started = std::time::Instant::now();
     let report = run_deck_file(std::path::Path::new(deck), &opts)?;
@@ -584,18 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_parses() {
-        assert_eq!(parse_args(&[]).unwrap().backend, BackendKind::Scalar);
-        let cfg = parse_args(&args(&["--backend", "batched"])).unwrap();
-        assert_eq!(cfg.backend, BackendKind::Batched);
-        let cfg = parse_args(&args(&["--backend", "scalar"])).unwrap();
-        assert_eq!(cfg.backend, BackendKind::Scalar);
-        assert!(parse_args(&args(&["--backend", "gpu"]))
-            .unwrap_err()
-            .contains("unknown backend"));
-    }
-
-    #[test]
     fn observability_flags_parse() {
         let cfg = parse_args(&args(&[
             "--metrics",
@@ -633,6 +602,9 @@ mod tests {
         assert!(parse_args(&args(&["--wat"]))
             .unwrap_err()
             .contains("unknown option"));
+        assert!(parse_args(&args(&["--backend", "scalar"]))
+            .unwrap_err()
+            .contains("unknown option '--backend'"));
         assert_eq!(parse_args(&args(&["--help"])).unwrap_err(), "help");
     }
 

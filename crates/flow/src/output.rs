@@ -27,6 +27,8 @@ pub struct RunSummary {
 }
 
 /// JSON string escaping per RFC 8259 (quotes, backslashes, control chars).
+/// Shared with the metrics document and the `serve` responder, which emit
+/// the same dialect.
 pub(crate) fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {

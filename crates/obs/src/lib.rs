@@ -21,6 +21,8 @@
 //! * [`trace_span`] — coarse-grained chrome-trace events (cluster /
 //!   characterization granularity, never inner solver loops), exported by
 //!   [`render_chrome_trace`] for `chrome://tracing` / Perfetto.
+//! * [`Fnv`] — the FNV-1a-64 fingerprint hasher shared by the cache,
+//!   serve-mode and circuit-reuse fingerprints (stable across processes).
 //! * [`snapshot`] / [`local_snapshot`] — aggregate or per-thread counter
 //!   snapshots; tests take deltas of their own thread's recorder so
 //!   concurrently running tests cannot interfere.
@@ -31,11 +33,13 @@
 
 #![warn(missing_docs)]
 
+mod fnv;
 mod metric;
 mod registry;
 mod span;
 mod trace;
 
+pub use fnv::Fnv;
 pub use metric::{Metric, ALL_METRICS, METRIC_COUNT};
 pub use registry::{
     count, local_snapshot, snapshot, CounterSnapshot, LocalRecorder, MetricsRegistry, PhaseEdge,

@@ -24,9 +24,8 @@
 //!   symbolic/numeric LU split (cold factor once, refactor per iteration).
 //! * [`solver`] — dense/sparse backend selection ([`solver::SolverKind`])
 //!   shared by every repeated solve in the workspace.
-//! * [`backend`] — the pluggable compute seam ([`backend::ComputeBackend`])
-//!   behind the K-lane batched kernels: lane-outer scalar and lane-inner
-//!   SIMD-friendly CPU implementations, bit-identical by construction.
+//! * [`backend`] — [`backend::BatchedDenseLu`], the K-lane dense LU
+//!   behind the batched kernels (lane-outer replay of the serial kernel).
 //! * [`sweep`] — [`sweep::BatchedSweep`], the K-lane batched value plane
 //!   over [`solver::SystemSolver`]: one symbolic analysis and one pattern,
 //!   `K` struct-of-arrays value vectors through DC Newton and both
@@ -75,9 +74,7 @@ pub use error::{Error, Result};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
-    pub use crate::backend::{
-        backend_for, BackendKind, BatchedBackend, BatchedDenseLu, ComputeBackend, ScalarBackend,
-    };
+    pub use crate::backend::{BackendKind, BatchedDenseLu};
     pub use crate::dc::{
         dc_input_conductance, dc_operating_point, dc_operating_point_with, dc_sweep, DcSolution,
         NewtonOptions,

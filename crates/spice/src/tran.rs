@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use sna_obs::{count, phase_span, Metric, Phase};
+use sna_obs::{count, phase_span, Fnv, Metric, Phase};
 
 use crate::dc::{dc_operating_point_with, NewtonOptions};
 use crate::error::{Error, Result};
@@ -209,27 +209,17 @@ impl TranStats {
 /// FNV-1a of a string, used to fold element-name references (the F/H
 /// controlling-source names) into the circuit fingerprints.
 fn fnv_str(s: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in s.as_bytes() {
-        h = (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write_bytes(s.as_bytes());
+    h.finish()
 }
 
 /// Order-sensitive FNV-1a hash of every stamped element value *and* every
 /// terminal wiring (source waveforms excluded — those are the one thing a
 /// workspace re-run may legitimately change).
 pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = Fnv::new();
+    let mut mix = |v: u64| h.write_u64(v);
     let n = |id: &NodeId| if id.is_ground() { 0 } else { id.index() as u64 };
     for el in circuit.elements() {
         match el {
@@ -319,7 +309,7 @@ pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// Order-sensitive FNV-1a hash of the circuit *wiring only*: element kind
@@ -327,14 +317,8 @@ pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
 /// this hash (identical topology) while their element values — and hence
 /// their [`circuit_value_hash`] — may legitimately differ per lane.
 pub(crate) fn circuit_topology_hash(circuit: &Circuit) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = Fnv::new();
+    let mut mix = |v: u64| h.write_u64(v);
     let n = |id: &NodeId| if id.is_ground() { 0 } else { id.index() as u64 };
     for el in circuit.elements() {
         match el {
@@ -406,7 +390,7 @@ pub(crate) fn circuit_topology_hash(circuit: &Circuit) -> u64 {
             }
         }
     }
-    h
+    h.finish()
 }
 
 impl TranResult {

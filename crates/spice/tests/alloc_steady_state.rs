@@ -16,7 +16,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sna_spice::backend::BackendKind;
 use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
@@ -187,14 +186,8 @@ fn lanes_of(base: &Circuit, source: &str, waves: &[SourceWaveform]) -> Vec<Circu
 
 /// The batched stepping loops must match the serial contract: a 4× horizon
 /// costs at most `slack` more allocations than 1×, across all K lanes.
-fn assert_batched_alloc_free(
-    lanes: &[Circuit],
-    kind: SolverKind,
-    backend: BackendKind,
-    dt: f64,
-    slack: u64,
-) {
-    let mut sweep = BatchedSweep::new(lanes, kind, backend).unwrap();
+fn assert_batched_alloc_free(lanes: &[Circuit], kind: SolverKind, dt: f64, slack: u64) {
+    let mut sweep = BatchedSweep::new(lanes, kind).unwrap();
     let short_params = TranParams::new(0.4 * NS, dt);
     let long_params = TranParams::new(1.6 * NS, dt);
     sweep.transient(lanes, &short_params).unwrap();
@@ -202,7 +195,7 @@ fn assert_batched_alloc_free(
     let (long, _) = allocs(|| sweep.transient(lanes, &long_params));
     assert!(
         long <= short + slack,
-        "{kind:?}/{backend:?} batched: {long} allocations at 4x horizon vs {short} at 1x"
+        "{kind:?} batched: {long} allocations at 4x horizon vs {short} at 1x"
     );
     let short_opts = AdaptiveOptions::new(0.4 * NS);
     let long_opts = AdaptiveOptions::new(1.6 * NS);
@@ -211,7 +204,7 @@ fn assert_batched_alloc_free(
     let (long, _) = allocs(|| sweep.transient_adaptive(lanes, &long_opts));
     assert!(
         long <= short + slack,
-        "{kind:?}/{backend:?} batched adaptive: {long} allocations at 4x horizon vs {short} at 1x"
+        "{kind:?} batched adaptive: {long} allocations at 4x horizon vs {short} at 1x"
     );
 }
 
@@ -266,8 +259,6 @@ fn stepping_loops_do_not_allocate_per_step() {
             })
             .collect::<Vec<_>>(),
     );
-    for backend in [BackendKind::Scalar, BackendKind::Batched] {
-        assert_batched_alloc_free(&lin_lanes, SolverKind::Sparse, backend, 2.0 * PS, 256);
-        assert_batched_alloc_free(&nl_lanes, SolverKind::Dense, backend, 1.0 * PS, 256);
-    }
+    assert_batched_alloc_free(&lin_lanes, SolverKind::Sparse, 2.0 * PS, 256);
+    assert_batched_alloc_free(&nl_lanes, SolverKind::Dense, 1.0 * PS, 256);
 }

@@ -185,7 +185,7 @@ fn batched_sweep_counters_match_hand_check() {
             ckt
         })
         .collect();
-    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Dense, Default::default()).unwrap();
+    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Dense).unwrap();
     let params = TranParams::new(1.0 * NS, 2.0 * PS);
     let before = local_snapshot();
     sweep.transient(&lanes, &params).unwrap();

@@ -70,23 +70,19 @@ fn parallel_flow_is_deterministic_across_thread_counts() {
 
 #[test]
 fn backends_produce_byte_identical_reports_at_any_thread_count() {
-    // The --backend contract: scalar (lane-outer) and batched (lane-inner)
-    // compute backends replay the same per-lane floating-point operation
-    // sequence, so the rendered report must be byte-identical across
-    // backends — and that identity must survive parallel scheduling.
+    // The K-lane batched kernels replay the same per-lane floating-point
+    // operation sequence on every run, so the rendered report must be
+    // byte-identical run to run — and that identity must survive parallel
+    // scheduling.
     let tech = Technology::cmos130();
     let design = Design::random(&tech, 8, 2005);
     let nrc = nrc_for(&tech);
-    let run = |threads: usize, backend: BackendKind| {
+    let run = |threads: usize| {
         let flow = run_sna_parallel(
             &design,
             &nrc,
             &FlowOptions {
                 threads,
-                mm: MacromodelOptions {
-                    backend,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
         )
@@ -102,15 +98,13 @@ fn backends_produce_byte_identical_reports_at_any_thread_count() {
             }],
         })
     };
-    let reference = run(1, BackendKind::Scalar);
+    let reference = run(1);
     for threads in [1, 3] {
-        for backend in [BackendKind::Scalar, BackendKind::Batched] {
-            assert_eq!(
-                reference,
-                run(threads, backend),
-                "report diverged at threads={threads}, backend={backend:?}"
-            );
-        }
+        assert_eq!(
+            reference,
+            run(threads),
+            "report diverged at threads={threads}"
+        );
     }
 }
 
