@@ -105,9 +105,16 @@ impl Json {
     }
 }
 
+/// Deepest object/array nesting a query may use. The protocol's deepest
+/// document is 2 levels; the cap keeps the recursive-descent parser far
+/// from the end of the stack on hostile input.
+const MAX_JSON_DEPTH: usize = 64;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects/arrays currently open.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -115,6 +122,7 @@ impl<'a> JsonParser<'a> {
         let mut p = JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -155,8 +163,22 @@ impl<'a> JsonParser<'a> {
     fn value(&mut self) -> std::result::Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -1089,5 +1111,25 @@ mod tests {
         let r = s.handle_line(r#"{"cmd": "shutdown"}"#);
         assert!(r.contains("\"shutdown\": true"), "{r}");
         assert!(s.done());
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_in_band_without_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = JsonParser::parse(&deep).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Right at the cap still parses.
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(JsonParser::parse(&at_cap).is_ok());
+        let mut s = session(1);
+        let r = s.handle_line(&deep);
+        assert!(r.contains("\"ok\": false"), "{r}");
+        assert!(r.contains("bad JSON"), "{r}");
+        let r = s.handle_line(r#"{"cmd":"stats"}"#);
+        assert!(r.contains("\"ok\": true"), "{r}");
     }
 }

@@ -49,7 +49,7 @@ fn run_corpus_deck(name: &str, o: &DeckOptions) -> DeckReport {
 }
 
 #[test]
-fn corpus_matches_goldens_across_threads_and_backends() {
+fn corpus_matches_goldens_across_threads() {
     for name in CORPUS {
         let report = run_corpus_deck(name, &opts(1));
         assert!(

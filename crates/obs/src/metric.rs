@@ -34,15 +34,19 @@ pub enum Metric {
     DcGminFallbacks,
     /// DC solves that had to enter the source-stepping fallback.
     DcSourceStepFallbacks,
-    /// Transient analyses run (fixed-step and adaptive).
+    /// Serial transient analyses run.
     TranCalls,
-    /// Accepted transient time steps (fixed-step: all steps).
+    /// Serial transient time steps.
     TranSteps,
     /// Newton iterations inside transient steps (0 for linear circuits).
     TranNewtonIterations,
-    /// Adaptive steps accepted by the local-truncation-error test.
+    /// Always 0: the fixed-step integrator accepts no steps by error test.
+    /// Kept only because the benchmark reads it and the `sna-metrics-v1`
+    /// `tran` section keeps its keys; goes at the next benchmark
+    /// re-baseline, with the `BackendKind` leftovers.
     TranAcceptedSteps,
-    /// Adaptive steps rejected (halved and retried).
+    /// Always 0: the fixed-step integrator rejects no steps. Kept and
+    /// removed like [`Metric::TranAcceptedSteps`].
     TranRejectedSteps,
     /// Batched K-lane sweep analyses run (DC or transient).
     SweepCalls,

@@ -200,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_dense_matches_serial_and_nestings_bitwise() {
+    fn batched_dense_matches_serial_solve() {
         let k = 4;
         let mats = lane_mats(k);
         let b_lane = [1.0, -2.0, 0.5];

@@ -51,7 +51,8 @@ pub struct MosfetModel {
 const SOFT_VOV: f64 = 0.010;
 
 /// Evaluated device currents and small-signal derivatives, in the *internal*
-/// NMOS-normalized, source/drain-ordered frame (see [`MosfetModel::eval`]).
+/// NMOS-normalized, source/drain-ordered frame ([`MosfetModel::eval_terminal`]
+/// maps them to the terminal frame).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosfetEval {
     /// Drain current (A), flowing drain→source internally.

@@ -55,27 +55,6 @@ impl SolverKind {
     }
 }
 
-/// A standalone factorization (dense or sparse) of one `G + α·C` matrix,
-/// cached by the adaptive transient per step size.
-#[derive(Debug, Clone)]
-pub enum OwnedFactor {
-    /// Dense LU factors.
-    Dense(LuFactors),
-    /// Sparse LU factors (boxed: the struct is large).
-    Sparse(Box<SparseLu>),
-}
-
-impl OwnedFactor {
-    /// Solve `A·x = b`; `work` is scratch of the system dimension (unused
-    /// by the dense backend).
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64], work: &mut [f64]) {
-        match self {
-            OwnedFactor::Dense(lu) => lu.solve_into(b, x),
-            OwnedFactor::Sparse(lu) => lu.solve_into(b, x, work),
-        }
-    }
-}
-
 // One Backend lives per analysis (never in arrays), so the variant size
 // spread is irrelevant; boxing would only add indirection to hot paths.
 #[allow(clippy::large_enum_variant)]
@@ -219,11 +198,10 @@ impl SystemSolver {
                 // The stored pivot sequence stays: α only rescales the
                 // capacitive part of a diagonally-dominant MNA matrix, so
                 // the next [`SystemSolver::factor_jacobian`] replays it as
-                // a numeric refactor (the adaptive stepper flips between h
-                // and h/2 every step). A pivot that does collapse under the
-                // new values makes `refactor` report singular, and
-                // `factor_jacobian` falls back to a cold factor with a
-                // fresh pivot search.
+                // a numeric refactor (a transient's α after its α = 0 DC
+                // solve). A pivot that does collapse under the new values
+                // makes `refactor` report singular, and `factor_jacobian`
+                // falls back to a cold factor with a fresh pivot search.
             }
         }
     }
@@ -328,33 +306,6 @@ impl SystemSolver {
     pub fn factor_base(&mut self) -> Result<()> {
         self.begin_jacobian();
         self.factor_jacobian()
-    }
-
-    /// Cold-factor the current base into a standalone [`OwnedFactor`]
-    /// (cached per step size by the adaptive transient). Does not disturb
-    /// the solver's own factor state.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error::SingularMatrix`] on a singular base matrix.
-    pub fn factor_base_owned(&mut self) -> Result<OwnedFactor> {
-        let _t = phase_span(Phase::Factor);
-        match &mut self.backend {
-            Backend::Dense { base, .. } => {
-                count(Metric::SolverFactorsDense, 1);
-                Ok(OwnedFactor::Dense(base.lu()?))
-            }
-            Backend::Sparse {
-                jac,
-                base_vals,
-                sym,
-                ..
-            } => {
-                count(Metric::SolverFactorsSparse, 1);
-                jac.values_mut().copy_from_slice(base_vals);
-                Ok(OwnedFactor::Sparse(Box::new(SparseLu::factor(jac, sym)?)))
-            }
-        }
     }
 
     /// Solve with the factors from the last

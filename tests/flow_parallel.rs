@@ -69,7 +69,7 @@ fn parallel_flow_is_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn backends_produce_byte_identical_reports_at_any_thread_count() {
+fn batched_kernels_give_byte_identical_reports_at_any_thread_count() {
     // The K-lane batched kernels replay the same per-lane floating-point
     // operation sequence on every run, so the rendered report must be
     // byte-identical run to run — and that identity must survive parallel
