@@ -14,13 +14,22 @@
 //!   scalar delays: after seeding `R_TH` from a two-load delay fit, ramp
 //!   time and resistance are refined by coordinate descent on the L2
 //!   waveform error of the replayed Thevenin response.
+//!
+//! A fit costs three transistor-level transients, each stopped as soon as
+//! the fit has what it reads: the reference run on the real load once its
+//! scoring window is recorded, the two seed runs at their 50 % crossing.
+//! The replay circuit `ramp → R_TH → load` is LTI with one or two states,
+//! so the 37 replays of the coordinate descent are stepped directly
+//! (`replay_trapezoidal`) on the same trapezoidal grid the MNA
+//! transient would use.
 
 use serde::{Deserialize, Serialize};
 use sna_spice::dc::NewtonOptions;
 use sna_spice::devices::SourceWaveform;
 use sna_spice::error::{Error, Result};
+use sna_spice::mna::GMIN;
 use sna_spice::netlist::{Circuit, NodeId};
-use sna_spice::tran::{transient, TranParams};
+use sna_spice::tran::{step_count, transient_until, TranParams, TranWorkspace};
 use sna_spice::waveform::Waveform;
 
 use crate::cell::Cell;
@@ -110,38 +119,73 @@ impl TheveninDriver {
     }
 }
 
+/// First crossing of `level` in the transition direction, found on samples
+/// fed in time order and linearly interpolated.
+struct Crossing {
+    level: f64,
+    rising: bool,
+    prev: Option<(f64, f64)>,
+    at: Option<f64>,
+}
+
+impl Crossing {
+    fn new(level: f64, rising: bool) -> Self {
+        Self {
+            level,
+            rising,
+            prev: None,
+            at: None,
+        }
+    }
+
+    /// Feed the sample `(t, v)`; returns the crossing time once seen.
+    fn push(&mut self, t: f64, v: f64) -> Option<f64> {
+        if self.at.is_some() {
+            return self.at;
+        }
+        if let Some((ta, a)) = self.prev {
+            let hit = if self.rising {
+                a < self.level && v >= self.level
+            } else {
+                a > self.level && v <= self.level
+            };
+            if hit {
+                let f = (self.level - a) / (v - a);
+                self.at = Some(ta + f * (t - ta));
+            }
+        }
+        self.prev = Some((t, v));
+        self.at
+    }
+}
+
 /// Crossing time of `w` through `level` (first crossing in the transition
 /// direction), linearly interpolated.
 fn crossing_time(w: &Waveform, level: f64, rising: bool) -> Option<f64> {
-    let ts = w.times();
-    let vs = w.values();
-    for k in 1..ts.len() {
-        let (a, b) = (vs[k - 1], vs[k]);
-        let hit = if rising {
-            a < level && b >= level
-        } else {
-            a > level && b <= level
-        };
-        if hit {
-            let f = (level - a) / (b - a);
-            return Some(ts[k - 1] + f * (ts[k] - ts[k - 1]));
-        }
-    }
-    None
+    let mut c = Crossing::new(level, rising);
+    w.times()
+        .iter()
+        .zip(w.values())
+        .find_map(|(&t, &v)| c.push(t, v))
 }
 
 /// Input-ramp onset used inside characterization runs; fitted EMF times are
 /// reported relative to this instant.
 const T_INPUT_ONSET: f64 = 200e-12;
 
+/// Time step of every characterization transient and replay.
+const DT: f64 = 1e-12;
+
 /// Simulate the transistor driver into `load`, returning the driving-point
-/// waveform.
+/// waveform up to the first sample at which `stop(t, v_out)` holds (or the
+/// full horizon).
 fn simulate_driver(
     cell: &Cell,
     rising: bool,
     input_slew: f64,
     load: &TheveninLoad,
     newton: &NewtonOptions,
+    mut stop: impl FnMut(f64, f64) -> bool,
 ) -> Result<Waveform> {
     let vdd_v = cell.tech.vdd;
     // For an inverting cell the input falls to make the output rise.
@@ -173,11 +217,79 @@ fn simulate_driver(
     cell.instantiate(&mut ckt, "drv", &inputs, out, vdd)?;
     load.attach(&mut ckt, out)?;
     let horizon = t_start + input_slew + 4e-9;
-    let mut params = TranParams::new(horizon, 1e-12);
+    let mut params = TranParams::new(horizon, DT);
     params.newton = *newton;
     params.solver = newton.solver;
-    let res = transient(&ckt, &params)?;
+    let mut ws = TranWorkspace::new(&ckt, params.solver)?;
+    let row = out.index() - 1;
+    let res = transient_until(&ckt, &params, &mut ws, |t, x| stop(t, x[row]))?;
     Ok(res.node_waveform(out))
+}
+
+/// Ramp response at the load node of the replay circuit
+/// `emf → R_TH (rth) → load` on the grid `k·dt`, `k = 0..=round(t_stop/dt)`:
+/// the DC-initialised trapezoidal recurrence the MNA transient runs on that
+/// circuit (GMIN on every node included), stepped directly on the load's
+/// states — the driving point and, for a Π with `r > 0` and `c_far > 0`,
+/// the far node. The step matrix `G + (2/dt)·C` is inverted once. Load
+/// forms mirror [`TheveninLoad::attach`].
+fn replay_trapezoidal(
+    emf: &SourceWaveform,
+    rth: f64,
+    load: &TheveninLoad,
+    t_stop: f64,
+    dt: f64,
+) -> Result<Waveform> {
+    if !(rth.is_finite() && rth > 0.0) {
+        return Err(Error::InvalidCircuit(format!(
+            "resistor Rth: resistance must be positive and finite, got {rth}"
+        )));
+    }
+    let n_steps = step_count(&TranParams::new(t_stop, dt))?;
+    // Capacitance at the driving point, and the far branch (conductance,
+    // capacitance) if the load has one. Without it the far state is
+    // decoupled (gr = 0, cf = 0) and stays at zero.
+    let (cn, gr, cf) = match *load {
+        TheveninLoad::Lumped(c) => (c, 0.0, 0.0),
+        TheveninLoad::Pi { c_near, r, c_far } => {
+            let cn = if c_near > 0.0 { c_near } else { 0.0 };
+            if r > 0.0 && c_far > 0.0 {
+                (cn, 1.0 / r, c_far)
+            } else if c_far > 0.0 {
+                (cn + c_far, 0.0, 0.0)
+            } else {
+                (cn, 0.0, 0.0)
+            }
+        }
+    };
+    let g = 1.0 / rth;
+    let (g_nn, g_ff) = (GMIN + g + gr, GMIN + gr);
+    // DC operating point: [g_nn, -gr; -gr, g_ff]·[v; f] = [g·e(0); 0].
+    let e0 = emf.eval(0.0);
+    let det_dc = g_nn * g_ff - gr * gr;
+    let (mut v, mut f) = (g * e0 * g_ff / det_dc, g * e0 * gr / det_dc);
+    // Step: A·x1 = B·x0 + [g·(e0 + e1); 0], A = G + αC, B = αC − G.
+    let alpha = 2.0 / dt;
+    let (a_nn, a_ff) = (g_nn + alpha * cn, g_ff + alpha * cf);
+    let (b_nn, b_ff) = (alpha * cn - g_nn, alpha * cf - g_ff);
+    let det = a_nn * a_ff - gr * gr;
+    let (i_nn, i_nf, i_ff) = (a_ff / det, gr / det, a_nn / det);
+    let mut times = Vec::with_capacity(n_steps + 1);
+    let mut values = Vec::with_capacity(n_steps + 1);
+    times.push(0.0);
+    values.push(v);
+    let mut e_prev = e0;
+    for step in 1..=n_steps {
+        let t = step as f64 * dt;
+        let e = emf.eval(t);
+        let r_n = b_nn * v + gr * f + g * (e_prev + e);
+        let r_f = gr * v + b_ff * f;
+        (v, f) = (i_nn * r_n + i_nf * r_f, i_nf * r_n + i_ff * r_f);
+        times.push(t);
+        values.push(v);
+        e_prev = e;
+    }
+    Waveform::from_samples(times, values)
 }
 
 /// Characterize a Thevenin driver for `cell` making a `rising`/falling
@@ -223,11 +335,27 @@ pub fn characterize_thevenin_with(
     let newton = &opts.newton;
     let vdd = cell.tech.vdd;
     let half = 0.5 * vdd;
-    // Reference: the driver's DP waveform on the real (Π) load.
-    let w_ref = simulate_driver(cell, rising, input_slew, load, newton)?;
+    let (lo_lvl, hi_lvl) = (0.2 * vdd, 0.8 * vdd);
+    // Reference: the driver's DP waveform on the real (Π) load, run until
+    // it covers the scoring window `t50 + 3·slew` below, plus two samples
+    // so `value_at` still interpolates at the window's end.
+    let (mut c_lo, mut c_mid, mut c_hi) = (
+        Crossing::new(lo_lvl, rising),
+        Crossing::new(half, rising),
+        Crossing::new(hi_lvl, rising),
+    );
+    let w_ref = simulate_driver(cell, rising, input_slew, load, newton, |t, v| {
+        let (lo, mid, hi) = (c_lo.push(t, v), c_mid.push(t, v), c_hi.push(t, v));
+        match (lo, mid, hi) {
+            (Some(lo), Some(mid), Some(hi)) => {
+                let slew = if rising { hi - lo } else { lo - hi };
+                t >= mid + 3.0 * slew + 2.0 * DT
+            }
+            _ => false,
+        }
+    })?;
     let t50_ref = crossing_time(&w_ref, half, rising)
         .ok_or_else(|| Error::InvalidAnalysis("driver output never crossed 50%".into()))?;
-    let (lo_lvl, hi_lvl) = (0.2 * vdd, 0.8 * vdd);
     let (ta, tb) = if rising {
         (
             crossing_time(&w_ref, lo_lvl, true),
@@ -247,11 +375,23 @@ pub fn characterize_thevenin_with(
             ))
         }
     };
-    // R_TH seed from a classic two-lumped-load delay fit.
+    // R_TH seed from a classic two-lumped-load delay fit; each seed run
+    // stops at its 50 % crossing.
     let c1 = load.total_cap().max(1e-15);
     let c2 = 2.0 * c1 + 5e-15;
-    let w_l1 = simulate_driver(cell, rising, input_slew, &TheveninLoad::Lumped(c1), newton)?;
-    let w_l2 = simulate_driver(cell, rising, input_slew, &TheveninLoad::Lumped(c2), newton)?;
+    let seed_run = |c: f64| {
+        let mut mid = Crossing::new(half, rising);
+        simulate_driver(
+            cell,
+            rising,
+            input_slew,
+            &TheveninLoad::Lumped(c),
+            newton,
+            |t, v| mid.push(t, v).is_some(),
+        )
+    };
+    let w_l1 = seed_run(c1)?;
+    let w_l2 = seed_run(c2)?;
     let t50_l1 = crossing_time(&w_l1, half, rising)
         .ok_or_else(|| Error::InvalidAnalysis("driver output never crossed 50%".into()))?;
     let t50_l2 = crossing_time(&w_l2, half, rising).ok_or_else(|| {
@@ -261,32 +401,18 @@ pub fn characterize_thevenin_with(
     let t_rise_seed = (slew_2080 / 0.6).max(2e-12);
     let (v0, v1) = if rising { (0.0, vdd) } else { (vdd, 0.0) };
     // Replay a (rth, t_rise) candidate on the SAME load. The replay circuit
-    // is LTI, so one simulation suffices: the response to a shifted ramp is
-    // the shifted response, and 50 %-crossing alignment is arithmetic.
+    // is LTI, so one replay suffices: the response to a shifted ramp is the
+    // shifted response, and 50 %-crossing alignment is arithmetic.
     const T_REPLAY_ONSET: f64 = 100e-12;
     let replay = |rth: f64, t_rise: f64| -> Result<(f64, f64)> {
-        let mut ckt = Circuit::new();
-        let e = ckt.node("emf");
-        let o = ckt.node("out");
-        ckt.add_vsource(
-            "Vth",
-            e,
-            Circuit::gnd(),
-            SourceWaveform::Ramp {
-                v0,
-                v1,
-                t_start: T_REPLAY_ONSET,
-                t_rise,
-            },
-        );
-        ckt.add_resistor("Rth", e, o, rth)?;
-        load.attach(&mut ckt, o)?;
+        let emf = SourceWaveform::Ramp {
+            v0,
+            v1,
+            t_start: T_REPLAY_ONSET,
+            t_rise,
+        };
         let horizon = T_REPLAY_ONSET + t_rise + 12.0 * rth * load.total_cap() + 2e-9;
-        let mut params = TranParams::new(horizon, 1e-12);
-        params.newton = *newton;
-        params.solver = newton.solver;
-        let res = transient(&ckt, &params)?;
-        let wfit = res.node_waveform(o);
+        let wfit = replay_trapezoidal(&emf, rth, load, horizon, DT)?;
         let t50_fit = crossing_time(&wfit, half, rising)
             .ok_or_else(|| Error::InvalidAnalysis("thevenin fit never crossed 50%".into()))?;
         // Shift the replayed response so its 50% crossing lands on the
@@ -366,6 +492,7 @@ mod tests {
     use super::*;
     use crate::cell::Cell;
     use crate::tech::Technology;
+    use sna_spice::tran::transient;
     use sna_spice::units::{FF, PS};
 
     #[test]
@@ -375,9 +502,17 @@ mod tests {
         let load = TheveninLoad::Lumped(60.0 * FF);
         let th = characterize_thevenin(&cell, true, 50.0 * PS, &load).unwrap();
         assert!(th.rth > 20.0 && th.rth < 5e3, "rth={}", th.rth);
-        // Replay both models into the same load and compare waveforms.
-        let gold =
-            simulate_driver(&cell, true, 50.0 * PS, &load, &NewtonOptions::default()).unwrap();
+        // Replay both models into the same load and compare waveforms,
+        // against the driver's full-horizon waveform.
+        let gold = simulate_driver(
+            &cell,
+            true,
+            50.0 * PS,
+            &load,
+            &NewtonOptions::default(),
+            |_, _| false,
+        )
+        .unwrap();
         let mut ckt = Circuit::new();
         let e = ckt.node("emf");
         let o = ckt.node("out");
@@ -461,6 +596,114 @@ mod tests {
             .unwrap();
         let sh = th.shifted(100.0 * PS);
         assert!((sh.t50() - th.t50() - 100.0 * PS).abs() < 1e-15);
+    }
+
+    #[test]
+    fn replay_trapezoidal_matches_mna_transient() {
+        let emf = SourceWaveform::Ramp {
+            v0: 1.2,
+            v1: 0.0,
+            t_start: 100.0 * PS,
+            t_rise: 45.0 * PS,
+        };
+        let rth = 700.0;
+        let pi = |c_near: f64, r: f64, c_far: f64| TheveninLoad::Pi { c_near, r, c_far };
+        for load in [
+            TheveninLoad::Lumped(50.0 * FF),
+            pi(25.0 * FF, 150.0, 40.0 * FF),
+            // Degenerate Π forms: no near cap, shorted and open far branch.
+            pi(0.0, 300.0, 40.0 * FF),
+            pi(25.0 * FF, 0.0, 40.0 * FF),
+            pi(25.0 * FF, 300.0, 0.0),
+        ] {
+            let t_stop = 100.0 * PS + 45.0 * PS + 12.0 * rth * load.total_cap() + 2e-9;
+            let direct = replay_trapezoidal(&emf, rth, &load, t_stop, DT).unwrap();
+            let mut ckt = Circuit::new();
+            let e = ckt.node("emf");
+            let o = ckt.node("out");
+            ckt.add_vsource("Vth", e, Circuit::gnd(), emf.clone());
+            ckt.add_resistor("Rth", e, o, rth).unwrap();
+            load.attach(&mut ckt, o).unwrap();
+            let mna = transient(&ckt, &TranParams::new(t_stop, DT))
+                .unwrap()
+                .node_waveform(o);
+            assert_eq!(direct.len(), mna.len(), "{load:?}");
+            assert_eq!(direct.times(), mna.times(), "{load:?}");
+            let dv = direct
+                .values()
+                .iter()
+                .zip(mna.values())
+                .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()));
+            assert!(dv <= 1e-9, "{load:?}: max |dv| = {dv:e} V");
+        }
+    }
+
+    /// Fits recorded with the MNA stepper running every replay and every
+    /// driver transient to its full horizon; direct replays and
+    /// early-stopped driver runs must reproduce them.
+    #[test]
+    fn fits_pinned_to_full_transient_values() {
+        let t = Technology::cmos130();
+        let pi = |c_near: f64, r: f64, c_far: f64| TheveninLoad::Pi { c_near, r, c_far };
+        let cases = [
+            (
+                Cell::inv(t.clone(), 4.0),
+                true,
+                50.0 * PS,
+                TheveninLoad::Lumped(60.0 * FF),
+                [
+                    845.8100008280064,
+                    5.0282973777953495e-11,
+                    2.7400290831117427e-11,
+                ],
+            ),
+            (
+                Cell::inv(t.clone(), 2.0),
+                false,
+                80.0 * PS,
+                TheveninLoad::Lumped(30.0 * FF),
+                [
+                    955.7851994882157,
+                    4.43658965951004e-11,
+                    4.693566022921756e-11,
+                ],
+            ),
+            (
+                Cell::nand2(t.clone(), 2.0),
+                true,
+                60.0 * PS,
+                pi(25.0 * FF, 150.0, 40.0 * FF),
+                [
+                    813.1467640150541,
+                    5.158195662715402e-11,
+                    3.543724561824662e-11,
+                ],
+            ),
+            (
+                Cell::nor2(t, 2.0),
+                false,
+                70.0 * PS,
+                pi(15.0 * FF, 600.0, 60.0 * FF),
+                [
+                    418.29050980652426,
+                    3.312001369805858e-11,
+                    4.292618632396752e-11,
+                ],
+            ),
+        ];
+        for (cell, rising, slew, load, want) in cases {
+            let th = characterize_thevenin(&cell, rising, slew, &load).unwrap();
+            let SourceWaveform::Ramp {
+                t_start, t_rise, ..
+            } = th.wave
+            else {
+                panic!("expected ramp");
+            };
+            for (got, want) in [th.rth, t_rise, t_start].into_iter().zip(want) {
+                let rel = ((got - want) / want).abs();
+                assert!(rel <= 1e-6, "{load:?}: got {got:e}, pinned {want:e}");
+            }
+        }
     }
 
     #[test]

@@ -1114,6 +1114,25 @@ mod tests {
     }
 
     #[test]
+    fn huge_transient_window_fails_the_cluster_in_band() {
+        let mut s = session(1);
+        // Positive and finite, so the edit is accepted; the refit's
+        // transient window would need ~10^12 steps.
+        let r =
+            s.handle_line(r#"{"cmd":"edit","cluster":"net000","aggressor":0,"input_slew":1.0}"#);
+        assert!(r.contains("\"ok\": true"), "{r}");
+        let r = s.handle_line(r#"{"cmd":"analyze"}"#);
+        assert!(r.contains("\"ok\": false"), "{r}");
+        assert!(r.contains("cluster 'net000' failed"), "{r}");
+        assert!(r.contains("transient window too long"), "{r}");
+        let r = s.handle_line(r#"{"cmd":"stats"}"#);
+        assert!(r.contains("\"ok\": true"), "{r}");
+        let r = s.handle_line(r#"{"cmd":"shutdown"}"#);
+        assert!(r.contains("\"shutdown\": true"), "{r}");
+        assert!(s.done());
+    }
+
+    #[test]
     fn deep_nesting_is_rejected_in_band_without_overflow() {
         let deep = "[".repeat(100_000);
         let err = JsonParser::parse(&deep).expect_err("too deep");

@@ -29,7 +29,7 @@ use crate::mna::MnaSystem;
 use crate::netlist::{Circuit, NodeId};
 use crate::solver::SolverKind;
 use crate::sparse::{BatchedSparseLu, SparseLu, SparseMatrix, Symbolic};
-use crate::tran::{circuit_topology_hash, circuit_value_hash, TranParams, TranResult};
+use crate::tran::{circuit_topology_hash, circuit_value_hash, step_count, TranParams, TranResult};
 
 /// Numeric state of a sweep: dense planes or one shared sparse pattern
 /// with SoA value planes.
@@ -847,23 +847,12 @@ impl BatchedSweep {
         params: &TranParams,
         ics: &[(NodeId, f64)],
     ) -> Result<Vec<TranResult>> {
-        if params.dt.is_nan()
-            || params.dt <= 0.0
-            || params.t_stop.is_nan()
-            || params.t_stop <= 0.0
-            || params.t_stop < params.dt
-        {
-            return Err(Error::InvalidAnalysis(format!(
-                "bad transient window: t_stop={}, dt={}",
-                params.t_stop, params.dt
-            )));
-        }
+        let n_steps = step_count(params)?;
         self.check(circuits)?;
         let _t = phase_span(Phase::Sweep);
         count(Metric::SweepCalls, 1);
         count(Metric::SweepLanes, self.k as u64);
         let (k, dim, n_nodes) = (self.k, self.dim, self.n_nodes);
-        let n_steps = (params.t_stop / params.dt).round() as usize;
         // Initial condition per lane.
         if params.dc_init {
             let mut newton = params.newton;

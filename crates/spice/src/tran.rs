@@ -6,6 +6,10 @@
 //! injected-noise-only network of the superposition baseline) are
 //! factored exactly once and back-substituted per step — this asymmetry
 //! is part of why macromodel-based noise analysis is fast.
+//!
+//! Fixed-step trapezoidal is causal, so [`transient_until`] can end a run
+//! once the caller has seen what it needs: every recorded point is
+//! bit-identical to the same point of the full-window run.
 
 use serde::{Deserialize, Serialize};
 use sna_obs::{count, phase_span, Fnv, Metric, Phase};
@@ -16,6 +20,41 @@ use crate::mna::MnaSystem;
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::solver::{SolverKind, SystemSolver};
 use crate::waveform::Waveform;
+
+/// Most time points one transient may record: far above any window the
+/// product runs (a few thousand steps), low enough that a pathological
+/// window is rejected before its sample buffers are allocated.
+pub const MAX_STEPS: usize = 10_000_000;
+
+/// Validate a transient window and return its step count
+/// `round(t_stop / dt)`.
+///
+/// # Errors
+///
+/// [`Error::InvalidAnalysis`] for a non-positive or NaN window, a step
+/// longer than the window, or more than [`MAX_STEPS`] steps.
+pub fn step_count(params: &TranParams) -> Result<usize> {
+    // `is_nan()` checks keep the rejection of NaN parameters explicit.
+    if params.dt.is_nan()
+        || params.dt <= 0.0
+        || params.t_stop.is_nan()
+        || params.t_stop <= 0.0
+        || params.t_stop < params.dt
+    {
+        return Err(Error::InvalidAnalysis(format!(
+            "bad transient window: t_stop={}, dt={}",
+            params.t_stop, params.dt
+        )));
+    }
+    let n_steps = (params.t_stop / params.dt).round();
+    if n_steps > MAX_STEPS as f64 {
+        return Err(Error::InvalidAnalysis(format!(
+            "transient window too long: t_stop={}, dt={} needs {n_steps:e} steps (max {MAX_STEPS})",
+            params.t_stop, params.dt
+        )));
+    }
+    Ok(n_steps as usize)
+}
 
 /// Transient analysis parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -474,24 +513,32 @@ pub fn transient_with(
     params: &TranParams,
     ws: &mut TranWorkspace,
 ) -> Result<TranResult> {
-    // `is_nan()` checks keep the rejection of NaN parameters explicit.
-    if params.dt.is_nan()
-        || params.dt <= 0.0
-        || params.t_stop.is_nan()
-        || params.t_stop <= 0.0
-        || params.t_stop < params.dt
-    {
-        return Err(Error::InvalidAnalysis(format!(
-            "bad transient window: t_stop={}, dt={}",
-            params.t_stop, params.dt
-        )));
-    }
+    transient_until(circuit, params, ws, |_, _| false)
+}
+
+/// [`transient_with`] that ends early once `stop(t, x)` returns `true`.
+///
+/// `stop` sees every recorded time point, `t = 0` included, with the MNA
+/// unknowns `x` at that point (node `n` is `x[n.index() - 1]`). The run
+/// keeps the point `stop` accepted and takes no further step, so a
+/// stopped run is a bitwise prefix of the full-window run. A predicate
+/// that never fires runs to `params.t_stop`.
+///
+/// # Errors
+///
+/// As [`transient_with`].
+pub fn transient_until(
+    circuit: &Circuit,
+    params: &TranParams,
+    ws: &mut TranWorkspace,
+    mut stop: impl FnMut(f64, &[f64]) -> bool,
+) -> Result<TranResult> {
+    let n_steps = step_count(params)?;
     ws.check(circuit, params.solver)?;
     let _t = phase_span(Phase::Tran);
     ws.stats = TranStats::default();
     let dim = ws.mna.dim();
     let n_nodes = ws.mna.n_nodes();
-    let n_steps = (params.t_stop / params.dt).round() as usize;
 
     // Initial condition. The DC solve follows the same solver selection.
     let mut x: Vec<f64> = if params.dc_init {
@@ -542,6 +589,7 @@ pub fn transient_with(
         }
     };
     record(&x, 0.0, &mut times, &mut traces, &mut branch_currents);
+    let n_steps = if stop(0.0, &x) { 0 } else { n_steps };
 
     ws.mna.rhs_into(circuit, 0.0, 1.0, &mut ws.b_prev);
     // Nonlinear residual at the previous point.
@@ -612,6 +660,9 @@ pub fn transient_with(
             }
         }
         record(&x, t1, &mut times, &mut traces, &mut branch_currents);
+        if stop(t1, &x) {
+            break;
+        }
         std::mem::swap(&mut ws.b_prev, &mut ws.b_cur);
         ws.f_prev.fill(0.0);
         ws.mna.stamp_nonlinear(circuit, &x, &mut ws.f_prev, None);
@@ -625,7 +676,7 @@ pub fn transient_with(
         .iter()
         .map(|id| circuit.element(*id).name().to_string())
         .collect();
-    ws.stats.steps = n_steps as u64;
+    ws.stats.steps = (times.len() - 1) as u64;
     ws.stats.newton_iterations = total_newton as u64;
     ws.stats.flush();
     Ok(TranResult {
@@ -765,6 +816,67 @@ mod tests {
         assert!(transient(&ckt, &TranParams::new(-1.0, 1e-12)).is_err());
         assert!(transient(&ckt, &TranParams::new(1e-9, 0.0)).is_err());
         assert!(transient(&ckt, &TranParams::new(1e-12, 1e-9)).is_err());
+    }
+
+    #[test]
+    fn window_over_the_step_cap_rejected_before_allocating() {
+        let (ckt, _) = rc_circuit(1e3, 1e-12, SourceWaveform::Dc(1.0));
+        // 10^12 steps: allocating the sample buffers would abort.
+        let err = transient(&ckt, &TranParams::new(1.0, 1e-12)).unwrap_err();
+        assert!(err.to_string().contains("too long"), "{err}");
+        let at_cap = TranParams::new(MAX_STEPS as f64 * 1e-12, 1e-12);
+        assert_eq!(step_count(&at_cap).unwrap(), MAX_STEPS);
+    }
+
+    fn ramp_rc() -> (Circuit, NodeId, TranParams) {
+        let ramp = SourceWaveform::Ramp {
+            v0: 0.0,
+            v1: 1.0,
+            t_start: 0.2 * NS,
+            t_rise: 100.0 * PS,
+        };
+        let (ckt, out) = rc_circuit(1e3, 100e-15, ramp);
+        (ckt, out, TranParams::new(2.0 * NS, 1.0 * PS))
+    }
+
+    #[test]
+    fn until_never_stopping_equals_transient_with_bitwise() {
+        let (ckt, out, p) = ramp_rc();
+        let mut ws = TranWorkspace::new(&ckt, p.solver).unwrap();
+        let full = transient_with(&ckt, &p, &mut ws).unwrap();
+        let until = transient_until(&ckt, &p, &mut ws, |_, _| false).unwrap();
+        assert_eq!(full.times(), until.times());
+        let (a, b) = (full.node_waveform(out), until.node_waveform(out));
+        let bits = |w: &Waveform| w.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+    }
+
+    #[test]
+    fn stopped_run_is_a_bitwise_prefix_of_the_full_run() {
+        let (ckt, out, p) = ramp_rc();
+        let full = transient(&ckt, &p).unwrap().node_waveform(out);
+        let mut ws = TranWorkspace::new(&ckt, p.solver).unwrap();
+        let row = out.index() - 1;
+        let mut seen = Vec::new();
+        let stopped = transient_until(&ckt, &p, &mut ws, |t, x| {
+            seen.push(t);
+            x[row] >= 0.5
+        })
+        .unwrap()
+        .node_waveform(out);
+        let n = stopped.len();
+        assert!(n > 1 && n < full.len(), "n={n} of {}", full.len());
+        // The predicate saw every recorded point, t = 0 included.
+        assert_eq!(seen, stopped.times());
+        assert_eq!(stopped.times(), &full.times()[..n]);
+        for (a, b) in stopped.values().iter().zip(&full.values()[..n]) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // Stopped at the first sample past 50 %.
+        assert!(stopped.values()[n - 1] >= 0.5 && stopped.values()[n - 2] < 0.5);
+        // A predicate true at t = 0 takes no step.
+        let none = transient_until(&ckt, &p, &mut ws, |_, _| true).unwrap();
+        assert_eq!(none.times(), &[0.0]);
     }
 
     #[test]

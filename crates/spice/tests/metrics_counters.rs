@@ -10,7 +10,7 @@ use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
 use sna_spice::sweep::BatchedSweep;
-use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
+use sna_spice::tran::{transient_until, transient_with, TranParams, TranWorkspace};
 use sna_spice::units::{NS, PS};
 
 /// Linear RC ladder, `n_nodes` unknowns plus one source row.
@@ -162,6 +162,24 @@ fn linear_ladder_counters_match_hand_check() {
     assert_eq!(d.get(Metric::SolverFactorsDense), 1);
     assert_eq!(d.get(Metric::SolverRefactorsDense), 1);
     assert_eq!(d.get(Metric::SolverSolves), steps + 1);
+}
+
+/// Early-stopped run: `TranSteps` counts the steps actually taken, not the
+/// window's `round(t_stop / dt)`, and the solves follow suit.
+#[test]
+fn stopped_run_counts_only_the_steps_it_ran() {
+    let ckt = ladder(16);
+    let mut ws = TranWorkspace::new(&ckt, SolverKind::Dense).unwrap();
+    let mut params = TranParams::new(1.0 * NS, 2.0 * PS);
+    params.solver = SolverKind::Dense;
+    let before = local_snapshot();
+    let res = transient_until(&ckt, &params, &mut ws, |t, _| t >= 0.3 * NS).unwrap();
+    let d = local_snapshot().since(&before);
+    let ran = (res.times().len() - 1) as u64;
+    assert!(ran < (1.0 * NS / (2.0 * PS)).round() as u64, "ran {ran}");
+    assert_eq!(d.get(Metric::TranCalls), 1);
+    assert_eq!(d.get(Metric::TranSteps), ran);
+    assert_eq!(d.get(Metric::SolverSolves), ran + 1);
 }
 
 /// Batched K-lane sweep: lane accounting is exact — the transient's
