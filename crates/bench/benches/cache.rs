@@ -8,7 +8,7 @@
 //! incremental serve-mode edit re-analyzes exactly one cluster, serving
 //! the rest from the result memo.
 //!
-//! Three modes, mirroring `benches/sweep.rs`:
+//! Three modes, mirroring `benches/solver.rs`:
 //!
 //! * default — criterion harness: warm-library flow runs.
 //! * `--format json` — hand-timed medians as the `sna-bench-cache-v1`

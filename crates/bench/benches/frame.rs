@@ -8,7 +8,7 @@
 //! the same candidate space, plus the batched-vs-serial cost of the
 //! unconstrained `worst_case_alignment` grid passes.
 //!
-//! Three modes, mirroring `benches/sweep.rs`:
+//! Three modes, mirroring `benches/solver.rs`:
 //!
 //! * default — criterion harness: pruned vs exhaustive per grid size.
 //! * `--format json` — hand-timed medians as the `sna-bench-frame-v1`
@@ -260,7 +260,7 @@ fn bench_frame(c: &mut Criterion) {
     group.finish();
 }
 
-// Same dispatch pattern as benches/sweep.rs: criterion by default, plus
+// Same dispatch pattern as benches/solver.rs: criterion by default, plus
 // the `--test` / `--format json` modes.
 criterion_group!(benches, bench_frame);
 

@@ -11,10 +11,12 @@
 //! model cannot.
 
 use serde::{Deserialize, Serialize};
+use sna_spice::dc::dc_operating_point_with;
 use sna_spice::devices::{linspace, SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
+use sna_spice::mna::MnaSystem;
 use sna_spice::netlist::Circuit;
-use sna_spice::sweep::BatchedSweep;
+use sna_spice::solver::SystemSolver;
 
 use crate::cell::{Cell, DriverMode};
 use crate::characterize::{driver_fixture, driver_output_caps, CharacterizeOptions};
@@ -78,33 +80,26 @@ pub fn characterize_load_curve(
     fx.ckt
         .add_vsource("Vout", fx.out, Circuit::gnd(), SourceWaveform::Dc(0.0));
 
-    // One lane per V_out sample: the lanes differ only in the clamp's DC
-    // level (a source waveform), so a whole table row is a single K-lane
-    // batched DC solve sharing one symbolic analysis, warm-started from
-    // the previous row's operating points.
-    let mut lanes: Vec<Circuit> = vout_axis
-        .iter()
-        .map(|&vout| {
-            let mut ckt = fx.ckt.clone();
-            ckt.set_source_wave("Vout", SourceWaveform::Dc(vout))?;
-            Ok(ckt)
-        })
-        .collect::<Result<_>>()?;
-    let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver)?;
-
+    // One MNA system and solver for the whole grid: the points differ only
+    // in two DC source levels, so assembly and the symbolic analysis are
+    // paid once. Each point is warm-started from the same V_out column of
+    // the previous V_in row.
+    let mna = MnaSystem::new(&fx.ckt)?;
+    let mut solver = SystemSolver::new(&mna, &fx.ckt, opts.newton.solver);
     let mut values = Vec::with_capacity(vin_axis.len() * vout_axis.len());
-    let mut warm: Option<Vec<Vec<f64>>> = None;
+    let mut warm: Vec<Option<Vec<f64>>> = vec![None; vout_axis.len()];
     for &vin in &vin_axis {
-        for lane in &mut lanes {
-            lane.set_source_wave(&fx.noisy_source, SourceWaveform::Dc(vin))?;
-        }
-        let sols = sweep.dc_operating_points(&lanes, &opts.newton, warm.as_deref())?;
-        for sol in &sols {
+        fx.ckt
+            .set_source_wave(&fx.noisy_source, SourceWaveform::Dc(vin))?;
+        for (&vout, warm) in vout_axis.iter().zip(&mut warm) {
+            fx.ckt.set_source_wave("Vout", SourceWaveform::Dc(vout))?;
+            let sol =
+                dc_operating_point_with(&fx.ckt, &opts.newton, warm.as_deref(), &mna, &mut solver)?;
             // The clamp supplies what the cell sinks: I_DC = -I(Vout).
             let i_br = sol.vsource_current("Vout").expect("Vout exists");
             values.push(-i_br);
+            *warm = Some(sol.unknowns().to_vec());
         }
-        warm = Some(sols.iter().map(|s| s.unknowns().to_vec()).collect());
     }
     Ok(LoadCurve {
         table: Table2d::new(vin_axis, vout_axis, values)?,
@@ -203,5 +198,37 @@ mod tests {
             ..Default::default()
         };
         assert!(characterize_load_curve(&cell, &mode, &opts).is_err());
+    }
+
+    /// `I_DC` of NAND2 holding low on the default 33-point grid at every 8th
+    /// V_in row and V_out column (corners and centre included), recorded
+    /// from the K-lane batched DC sweep the serial loop replaced.
+    #[rustfmt::skip]
+    const PINNED_NAND2_LOW: [[f64; 5]; 5] = [
+        [-4.9271627261e-4, -4.5342805059e-4, -3.1615842402e-4, -7.3509934182e-5, 3.0291785515e-4],
+        [-2.2640465404e-4, -1.6904765822e-4, -1.5120620248e-4, -4.3092029935e-5, 2.0780533232e-4],
+        [-2.0208206006e-4, 4.3281644883e-6, 1.8923401119e-5, 2.7424870427e-5, 1.5454989108e-4],
+        [-2.5081387105e-4, 5.6868550878e-5, 1.8468719349e-4, 1.9590018941e-4, 2.2303586273e-4],
+        [-2.9724346315e-4, 7.3800035139e-5, 2.8754033359e-4, 3.7335272005e-4, 3.8721704511e-4],
+    ];
+
+    #[test]
+    fn default_grid_pinned_to_recorded_values() {
+        let cell = Cell::nand2(Technology::cmos130(), 1.0);
+        let mode = cell.holding_low_mode();
+        let lc = characterize_load_curve(&cell, &mode, &CharacterizeOptions::default()).unwrap();
+        let n = lc.table.y_axis().len();
+        assert_eq!(n, 33);
+        for (i, row) in PINNED_NAND2_LOW.iter().enumerate() {
+            for (j, &want) in row.iter().enumerate() {
+                let got = lc.table.values()[8 * i * n + 8 * j];
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.abs(),
+                    "I_DC[{}][{}] = {got:e}, pinned {want:e}",
+                    8 * i,
+                    8 * j
+                );
+            }
+        }
     }
 }

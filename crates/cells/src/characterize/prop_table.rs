@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 use sna_spice::devices::{SourceWaveform, Table2d};
 use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Circuit;
-use sna_spice::sweep::BatchedSweep;
-use sna_spice::tran::TranParams;
+use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
 use sna_spice::waveform::Waveform;
 
 use crate::cell::{Cell, DriverMode};
@@ -125,8 +124,8 @@ pub fn characterize_propagated_noise(
 }
 
 /// [`characterize_propagated_noise`] with explicit characterization
-/// options (`opts.newton.solver` picks the linear solver of the batched
-/// height sweep).
+/// options (`opts.newton.solver` picks the linear solver of the grid's
+/// transients).
 ///
 /// # Errors
 ///
@@ -160,16 +159,18 @@ pub fn characterize_propagated_noise_with(
     let mut width50 = vec![0.0; n_grid];
     let mut area = vec![0.0; n_grid];
     let mut delay = vec![0.0; n_grid];
-    // All heights of one width column share the transient window, so they
-    // run as one K-lane batched sweep: MNA assembly, the union pattern, and
-    // the symbolic analysis are paid once for the whole grid, and each
-    // column is a single batched transient over `heights.len()` lanes that
-    // differ only in the glitch source waveform.
-    let mut lanes: Vec<Circuit> = heights.iter().map(|_| fx.ckt.clone()).collect();
-    let mut sweep = BatchedSweep::new(&lanes, opts.newton.solver)?;
+    // One workspace for the whole grid: the points differ only in the
+    // glitch source waveform, so MNA assembly and the symbolic analysis are
+    // paid once and every (height, width) point is a plain transient on it.
+    let mut ws = TranWorkspace::new(&fx.ckt, opts.newton.solver)?;
+    let t_start = 50e-12;
     for (wi, &w) in widths.iter().enumerate() {
-        let t_start = 50e-12;
-        for (lane, &h) in lanes.iter_mut().zip(heights) {
+        let horizon = t_start + 3.0 * w + 1.5e-9;
+        let dt = (w / 200.0).clamp(0.25e-12, 2e-12);
+        let mut params = TranParams::new(horizon, dt);
+        params.newton = opts.newton;
+        params.solver = opts.newton.solver;
+        for (hi, &h) in heights.iter().enumerate() {
             let glitch = SourceWaveform::TriangleGlitch {
                 v_base: q_in,
                 v_peak: q_in + sign * h,
@@ -177,23 +178,14 @@ pub fn characterize_propagated_noise_with(
                 t_rise: 0.5 * w,
                 t_fall: 0.5 * w,
             };
-            lane.set_source_wave(&fx.noisy_source, glitch)?;
-        }
-        let horizon = t_start + 3.0 * w + 1.5e-9;
-        let dt = (w / 200.0).clamp(0.25e-12, 2e-12);
-        let mut params = TranParams::new(horizon, dt);
-        params.newton = opts.newton;
-        params.solver = opts.newton.solver;
-        let results = sweep.transient(&lanes, &params)?;
-        for (hi, res) in results.iter().enumerate() {
-            let wave = res.node_waveform(fx.out);
+            fx.ckt.set_source_wave(&fx.noisy_source, glitch)?;
+            let wave = transient_with(&fx.ckt, &params, &mut ws)?.node_waveform(fx.out);
             let m = wave.glitch_metrics(mode.output_level);
             let idx = hi * widths.len() + wi;
             peak[idx] = m.peak;
             width50[idx] = m.width;
             area[idx] = m.area;
-            let t_peak_in = t_start + 0.5 * w;
-            delay[idx] = m.peak_time - t_peak_in;
+            delay[idx] = m.peak_time - (t_start + 0.5 * w);
         }
     }
     Ok(PropagatedNoiseTable {
@@ -274,5 +266,60 @@ mod tests {
         assert!(
             characterize_propagated_noise(&cell, &mode, 1e-15, &[0.5], &[1e-10, 2e-10]).is_err()
         );
+    }
+
+    /// NAND2 holding low into 20 fF on the library's 5 x 4 (height x width)
+    /// grid, recorded from the K-lane batched transients the serial loop
+    /// replaced: peak (V), width50 (s), area (V·s) and delay (s).
+    #[rustfmt::skip]
+    const PINNED_NAND2_LOW: [[[f64; 4]; 5]; 4] = [
+        [
+            [1.0738433239e-2, 6.6509450422e-3, 3.5661923435e-3, 1.8212384186e-3],
+            [1.7698668183e-2, 1.2366492282e-2, 1.8124687414e-2, 2.5793167965e-2],
+            [4.5869297505e-2, 9.0079818604e-2, 1.6752041425e-1, 3.1180501845e-1],
+            [1.5996648140e-1, 3.4170156628e-1, 6.7988519658e-1, 1.0945058310e0],
+            [3.5880235785e-1, 7.2468038924e-1, 1.1055552584e0, 1.2024821112e0],
+        ],
+        [
+            [1.0190286733e-10, 2.3852006693e-10, 5.3022082129e-10, 1.1262179153e-9],
+            [1.2021771860e-10, 2.7127069207e-10, 1.5801141653e-10, 1.9036164887e-10],
+            [9.2025876479e-11, 1.1500377530e-10, 1.5964357854e-10, 2.5787087527e-10],
+            [8.4955127937e-11, 1.2763232903e-10, 2.2928230052e-10, 4.4443184327e-10],
+            [8.9310788072e-11, 1.5382857634e-10, 2.9478777459e-10, 5.8000588047e-10],
+        ],
+        [
+            [1.2102851816e-12, 1.5319890320e-12, 1.7557053018e-12, 1.8822645148e-12],
+            [2.2817402551e-12, 3.2800006660e-12, 4.8518713976e-12, 7.7787776050e-12],
+            [5.7190549439e-12, 1.2570422301e-11, 3.1541333612e-11, 9.0546321562e-11],
+            [1.6128800769e-11, 4.8213315697e-11, 1.6388960396e-10, 4.9381960032e-10],
+            [3.6896378728e-11, 1.1938373448e-10, 3.3175040093e-10, 6.9620323833e-10],
+        ],
+        [
+            [-5.0000000000e-13, -5.0000000000e-13, 0.0, 0.0],
+            [-1.0250000000e-11, 9.8500000000e-11, 5.2000000000e-11, 5.6000000000e-11],
+            [3.7750000000e-11, 4.3000000000e-11, 6.0000000000e-11, 1.0800000000e-10],
+            [3.4000000000e-11, 5.9500000000e-11, 1.1200000000e-10, 1.9000000000e-10],
+            [4.0000000000e-11, 7.6000000000e-11, 1.3600000000e-10, 2.0800000000e-10],
+        ],
+    ];
+
+    #[test]
+    fn library_grid_pinned_to_recorded_values() {
+        let t = Technology::cmos130();
+        let cell = Cell::nand2(t.clone(), 1.0);
+        let mode = cell.holding_low_mode();
+        let heights = [0.25, 0.45, 0.65, 0.85, 1.05].map(|f| f * t.vdd);
+        let widths = [150.0 * PS, 300.0 * PS, 600.0 * PS, 1200.0 * PS];
+        let tbl =
+            characterize_propagated_noise(&cell, &mode, 20.0 * FF, &heights, &widths).unwrap();
+        let tables = [&tbl.peak, &tbl.width50, &tbl.area, &tbl.delay];
+        for (table, pinned) in tables.into_iter().zip(PINNED_NAND2_LOW) {
+            for (&got, want) in table.values().iter().zip(pinned.into_iter().flatten()) {
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.abs(),
+                    "got {got:e}, pinned {want:e}"
+                );
+            }
+        }
     }
 }

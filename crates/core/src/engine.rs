@@ -158,7 +158,8 @@ pub fn simulate_macromodel_with(
             for i in 0..m {
                 let s = scale * dx[i];
                 x[i] += s;
-                if s.abs() > newton.reltol * x[i].abs() + newton.vntol {
+                // A non-finite state never counts as converged.
+                if !x[i].is_finite() || s.abs() > newton.reltol * x[i].abs() + newton.vntol {
                     done = false;
                 }
             }
@@ -446,7 +447,10 @@ pub fn simulate_macromodel_timings(
                 for i in 0..m {
                     let s = scale * dx_plane[i * kl + lane];
                     x[lane][i] += s;
-                    if s.abs() > newton.reltol * x[lane][i].abs() + newton.vntol {
+                    // A non-finite state never counts as converged.
+                    if !x[lane][i].is_finite()
+                        || s.abs() > newton.reltol * x[lane][i].abs() + newton.vntol
+                    {
                         done = false;
                     }
                 }

@@ -6,15 +6,16 @@
 //! `.sna` card — or per the `--victim`/`--aggressors` CLI fallback when the
 //! deck carries no card.
 //!
-//! Each case runs a K=2 [`BatchedSweep`]: lane 0 is the deck as written, lane
-//! 1 a clone with every aggressor source frozen at its `t = 0` value. The
-//! victim-node difference between the lanes is the injected noise waveform;
-//! [`GlitchMetrics`] of that difference against a zero baseline give
-//! peak/width/area, and `margin = threshold − peak` drives the verdict.
-//! Because both lanes share one symbolic analysis and replay the identical
-//! per-lane operation sequence, the noise is exact to the last bit, and the
-//! per-case work is embarrassingly parallel — reports are byte-identical
-//! across thread counts.
+//! Each case runs two transients on one reused [`TranWorkspace`]: the noisy
+//! run is the deck as written, the quiet run a clone with every aggressor
+//! source frozen at its `t = 0` value. The victim-node difference between
+//! the runs is the injected noise waveform; [`GlitchMetrics`] of that
+//! difference against a zero baseline give peak/width/area, and
+//! `margin = threshold − peak` drives the verdict. Both runs share one
+//! assembly and symbolic analysis and differ only in source waveforms, so
+//! the noise is exact to the last bit, and the per-case work is
+//! embarrassingly parallel: reports are byte-identical across thread
+//! counts.
 
 use std::path::Path;
 
@@ -25,7 +26,7 @@ use sna_spice::error::{Error, Result};
 use sna_spice::netlist::Element;
 use sna_spice::parser::{parse_deck_file, ParsedDeck, SnaCard};
 use sna_spice::solver::SolverKind;
-use sna_spice::sweep::BatchedSweep;
+use sna_spice::tran::{transient_with, TranWorkspace};
 use sna_spice::waveform::GlitchMetrics;
 
 use crate::output::{esc, num, verdict_tag};
@@ -47,7 +48,7 @@ pub struct DeckOptions {
     pub strict: bool,
     /// Worker threads for the per-case fan-out.
     pub threads: usize,
-    /// Linear-solver backend shared by both lanes.
+    /// Linear-solver backend shared by both runs.
     pub solver: SolverKind,
 }
 
@@ -161,9 +162,9 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
     // FRAME constraints: aggressors whose switching window cannot overlap
     // the victim sensitivity interval — or who lost their mutual-exclusion
     // slot to an earlier group member — cannot contribute noise, so they
-    // are frozen in *both* lanes (the lane difference then excludes them).
+    // are frozen in *both* runs (the run difference then excludes them).
     // Only sources in the card's aggressor list participate: a source
-    // outside it switches identically in both lanes and cancels anyway.
+    // outside it switches identically in both runs and cancels anyway.
     let mut pruned: Vec<String> = Vec::new();
     if !(card.windows.is_empty() && card.mexcl.is_empty()) {
         sna_obs::count(Metric::FrameClusters, 1);
@@ -204,7 +205,7 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
         );
     }
 
-    // Lane 1: aggressors frozen at their t = 0 value, so the lane difference
+    // Quiet run: aggressors frozen at their t = 0 value, so the difference
     // isolates the noise they inject.
     let mut quiet = circuit.clone();
     for aggr in &card.aggressors {
@@ -222,8 +223,8 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
         quiet.set_source_wave(aggr, SourceWaveform::Dc(v0))?;
     }
 
-    // Lane 0: the pruned aggressors are frozen here too, removing their
-    // contribution from the lane difference.
+    // Noisy run: the pruned aggressors are frozen here too, removing their
+    // contribution from the difference.
     let mut noisy = circuit.clone();
     for src in &pruned {
         let id = noisy.find_element(src).ok_or_else(|| {
@@ -240,14 +241,11 @@ fn analyze_case(parsed: &ParsedDeck, card: &SnaCard, opts: &DeckOptions) -> Resu
         noisy.set_source_wave(src, SourceWaveform::Dc(v0))?;
     }
 
-    let lanes = [noisy, quiet];
-    let mut sweep = BatchedSweep::new(&lanes, opts.solver)?;
     let mut params = *tran;
     params.solver = opts.solver;
-    let ics = parsed.resolve_ics();
-    let results = sweep.transient_with_ics(&lanes, &params, &ics)?;
-    let noisy = results[0].node_waveform(victim);
-    let still = results[1].node_waveform(victim);
+    let mut ws = TranWorkspace::new(&noisy, opts.solver)?.with_ics(&parsed.resolve_ics());
+    let noisy = transient_with(&noisy, &params, &mut ws)?.node_waveform(victim);
+    let still = transient_with(&quiet, &params, &mut ws)?.node_waveform(victim);
     let noise = noisy.sub(&still);
     let metrics = GlitchMetrics::from_waveform(&noise, 0.0);
     let margin = threshold - metrics.peak;
@@ -578,7 +576,7 @@ Rb vic_in 0 1k
         // Both aggressors together inject more than the gated pair.
         assert!(both_r.findings[0].metrics.peak > gated_r.findings[0].metrics.peak * 1.5);
         // The mexcl gate freezes exactly the second group member: bitwise
-        // the same lanes as the source-level freeze.
+        // the same runs as the source-level freeze.
         assert_eq!(
             gated_r.findings[0].metrics.peak.to_bits(),
             frozen_r.findings[0].metrics.peak.to_bits(),

@@ -24,12 +24,13 @@
 //!   `--library-cache` was given) and exit.
 //!
 //! Malformed input gets `{"ok":false,"error":...}` — the session never
-//! crashes on a bad query. Re-analysis runs on the same order-preserving
+//! crashes on a bad query, and neither do non-UTF-8 or over-long lines
+//! ([`MAX_QUERY_BYTES`]). Re-analysis runs on the same order-preserving
 //! pool as batch mode, so serve findings are byte-identical to a fresh
 //! batch run of the edited design.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -108,7 +109,14 @@ impl Json {
 /// Deepest object/array nesting a query may use. The protocol's deepest
 /// document is 2 levels; the cap keeps the recursive-descent parser far
 /// from the end of the stack on hostile input.
-const MAX_JSON_DEPTH: usize = 64;
+pub const MAX_JSON_DEPTH: usize = 64;
+
+/// Longest query line a session reads, in bytes (line ending excluded).
+/// The longest protocol query is an `analyze` naming every cluster, a few
+/// kilobytes on the largest designs; a longer line is answered in-band and
+/// skipped without being buffered, so a runaway client cannot grow the
+/// session's memory.
+pub const MAX_QUERY_BYTES: usize = 1 << 20;
 
 struct JsonParser<'a> {
     bytes: &'a [u8],
@@ -552,6 +560,14 @@ impl ServeState {
         }
     }
 
+    /// Answer a line that could not be read as text (see
+    /// [`serve_lines`]): counted as a query, answered with `msg`.
+    fn reject_line(&mut self, msg: &str) -> String {
+        self.queries += 1;
+        sna_obs::count(Metric::ServeQueries, 1);
+        err_json(msg)
+    }
+
     fn cluster_index(&self, name: &str) -> Option<usize> {
         self.design.clusters.iter().position(|c| c.name == name)
     }
@@ -831,6 +847,63 @@ impl ServeState {
     }
 }
 
+/// Read the next line of `input` into `buf`, ending (`\n` or `\r\n`)
+/// stripped. `Ok(None)` at end of input; `Ok(Some(Err(msg)))` for a line
+/// that is not valid UTF-8 or is longer than [`MAX_QUERY_BYTES`]. An
+/// over-long line is consumed to its end without being buffered.
+fn read_query<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<std::result::Result<&'b str, String>>> {
+    buf.clear();
+    if Read::take(&mut *input, MAX_QUERY_BYTES as u64 + 1).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() != Some(&b'\n') && buf.len() > MAX_QUERY_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Some(Err(format!(
+            "query line longer than {MAX_QUERY_BYTES} bytes"
+        ))));
+    }
+    let line = buf.strip_suffix(b"\n").unwrap_or(buf);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    Ok(Some(std::str::from_utf8(line).map_err(|e| {
+        format!("query line is not valid UTF-8: {e}")
+    })))
+}
+
+/// Answer every query line of `input` on `out`, one response line each,
+/// until `shutdown` or end of input. Blank lines get no response. Bad
+/// lines (malformed JSON, non-UTF-8 bytes, over-long lines) are answered
+/// in-band and never end the session.
+///
+/// # Errors
+///
+/// Fails only when reading `input` or writing `out` fails.
+pub fn serve_lines(
+    state: &mut ServeState,
+    mut input: impl BufRead,
+    out: &mut impl Write,
+) -> Result<()> {
+    let mut buf = Vec::new();
+    while let Some(line) = read_query(&mut input, &mut buf)
+        .map_err(|e| Error::InvalidAnalysis(format!("stdin read failed: {e}")))?
+    {
+        let response = match line {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => state.handle_line(text),
+            Err(msg) => state.reject_line(&msg),
+        };
+        writeln!(out, "{response}")
+            .and_then(|()| out.flush())
+            .map_err(|e| Error::InvalidAnalysis(format!("stdout write failed: {e}")))?;
+        if state.done() {
+            break;
+        }
+    }
+    Ok(())
+}
+
 /// The `sna serve` entry point: read queries from stdin, answer on stdout,
 /// persist the library cache on shutdown.
 ///
@@ -848,22 +921,11 @@ pub fn run_serve(cfg: &CliConfig) -> Result<()> {
             cfg.corners.first().map(String::as_str).unwrap_or("cmos130")
         );
     }
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| Error::InvalidAnalysis(format!("stdin read failed: {e}")))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = state.handle_line(&line);
-        writeln!(out, "{response}")
-            .and_then(|()| out.flush())
-            .map_err(|e| Error::InvalidAnalysis(format!("stdout write failed: {e}")))?;
-        if state.done() {
-            break;
-        }
-    }
+    serve_lines(
+        &mut state,
+        std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
+    )?;
     if let Some(path) = &cfg.library_cache {
         match save_library_cache(Path::new(path), state.library()) {
             Ok(bytes) => {
@@ -1150,5 +1212,54 @@ mod tests {
         assert!(r.contains("bad JSON"), "{r}");
         let r = s.handle_line(r#"{"cmd":"stats"}"#);
         assert!(r.contains("\"ok\": true"), "{r}");
+    }
+
+    /// Feed `input` through [`serve_lines`] and return the response lines.
+    fn serve_bytes(s: &mut ServeState, input: &[u8]) -> Vec<String> {
+        let mut out = Vec::new();
+        serve_lines(s, input, &mut out).expect("in-memory streams do not fail");
+        let text = String::from_utf8(out).expect("responses are UTF-8");
+        text.lines().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn non_utf8_line_is_answered_in_band() {
+        let mut s = session(1);
+        let r = serve_bytes(
+            &mut s,
+            b"{\"cmd\":\"stats\"}\n\xff\xfe\n{\"cmd\":\"stats\"}\r\n{\"cmd\":\"shutdown\"}\n{\"cmd\":\"stats\"}\n",
+        );
+        assert_eq!(r.len(), 4, "one response per line up to shutdown: {r:?}");
+        assert!(r[1].contains("\"ok\": false"), "{}", r[1]);
+        assert!(r[1].contains("not valid UTF-8"), "{}", r[1]);
+        assert!(r[2].contains("\"queries\": 3"), "{}", r[2]);
+        assert!(r[3].contains("\"shutdown\": true"), "{}", r[3]);
+        assert!(s.done());
+    }
+
+    #[test]
+    fn over_long_line_is_answered_in_band_and_skipped() {
+        let mut s = session(1);
+        let stats = r#"{"cmd":"stats"}"#;
+        // Exactly at the cap (leading blanks pad the query): read and
+        // answered normally.
+        let mut input = " ".repeat(MAX_QUERY_BYTES - stats.len()).into_bytes();
+        input.extend_from_slice(stats.as_bytes());
+        input.push(b'\n');
+        // One byte over: rejected, and the rest of the line is skipped.
+        input.extend(std::iter::repeat_n(b'x', MAX_QUERY_BYTES + 1));
+        input.extend_from_slice(b"\xff tail of the long line\n");
+        input.extend_from_slice(stats.as_bytes());
+        input.push(b'\n');
+        // Over the cap with no line ending before end of input.
+        input.extend(std::iter::repeat_n(b'[', 2 * MAX_QUERY_BYTES));
+        let r = serve_bytes(&mut s, &input);
+        assert_eq!(r.len(), 4, "{r:?}");
+        assert!(r[0].contains("\"ok\": true"), "{}", r[0]);
+        for bad in [&r[1], &r[3]] {
+            assert!(bad.contains("\"ok\": false"), "{bad}");
+            assert!(bad.contains("longer than"), "{bad}");
+        }
+        assert!(r[2].contains("\"queries\": 3"), "{}", r[2]);
     }
 }

@@ -9,7 +9,8 @@
 /// different process loads them.
 ///
 /// The methods are `#[inline]` because callers in other crates hash on hot
-/// paths (every batched-sweep call re-fingerprints each lane's elements),
+/// paths (every reuse of a transient workspace re-fingerprints the
+/// circuit's elements),
 /// and a non-generic function is otherwise not inlined across crates.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);

@@ -1,12 +1,12 @@
 //! # sna-obs — zero-dependency observability for the SNA engine
 //!
 //! The engine spans four performance-critical layers (sparse LU refactor,
-//! K-lane batched sweeps, the sharded characterization cache, and the
+//! characterization solves, the sharded characterization cache, and the
 //! order-preserving worker pool). This crate is the shared instrumentation
 //! substrate they all report into:
 //!
 //! * [`Metric`] — a fixed vocabulary of monotonic counters (factor vs
-//!   refactor, Newton iterations, fallback ladders, sweep lanes, …).
+//!   refactor, Newton iterations, fallback ladders, cache hits, …).
 //! * [`count`] — lock-free counting: every thread owns a
 //!   [`LocalRecorder`] of relaxed atomics that only it writes, so the hot
 //!   path never contends. Aggregation sums across recorders at snapshot

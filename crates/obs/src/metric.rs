@@ -48,16 +48,19 @@ pub enum Metric {
     /// Always 0: the fixed-step integrator rejects no steps. Kept and
     /// removed like [`Metric::TranAcceptedSteps`].
     TranRejectedSteps,
-    /// Batched K-lane sweep analyses run (DC or transient).
+    /// Always 0: the batched K-lane sweep is gone, and characterization
+    /// grids and deck cases run as serial [`Metric::TranCalls`] /
+    /// [`Metric::DcSolves`]. The five `Sweep*` counters are kept only
+    /// because the benchmark reads them and the `sna-metrics-v1` `sweep`
+    /// section keeps its keys; they go at the next benchmark re-baseline.
     SweepCalls,
-    /// Total lanes carried by those sweeps (sum of K).
+    /// Always 0; kept like [`Metric::SweepCalls`].
     SweepLanes,
-    /// Per-lane Newton iterations inside masked batched Newton loops.
+    /// Always 0; kept like [`Metric::SweepCalls`].
     SweepLaneNewtonIterations,
-    /// Lanes the batched Newton abandoned to the deterministic serial
-    /// ladder (the correctness backstop for resistant corners).
+    /// Always 0; kept like [`Metric::SweepCalls`].
     SweepSerialFallbacks,
-    /// Lock-step transient steps taken by batched sweeps.
+    /// Always 0; kept like [`Metric::SweepCalls`].
     SweepSteps,
     /// Queries handled by an `sna serve` session (any command).
     ServeQueries,

@@ -1,12 +1,12 @@
-//! The K-lane dense LU behind the batched solver kernels.
+//! The K-lane dense LU behind the macromodel engine's batched lanes.
 //!
-//! [`crate::sweep::BatchedSweep`] and the macromodel engine carry `K`
-//! value vectors through assembly, numeric (re)factorization and
-//! triangular solves in struct-of-arrays layout. [`BatchedDenseLu`] is the
-//! dense half of that stack (the sparse half is
-//! [`crate::sparse::BatchedSparseLu`]): its loops run lane-outermost,
+//! The engine steps `K` alignment candidates together, carrying their
+//! Jacobians through numeric factorization and triangular solves in
+//! struct-of-arrays layout. [`BatchedDenseLu`] runs lane-outermost,
 //! replaying the serial kernel once per lane over the shared planes, so
-//! every lane performs exactly the serial operation sequence.
+//! every lane performs exactly the serial operation sequence. It is the
+//! only batched kernel; characterization grids and deck cases are serial
+//! solves on one reused workspace.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +28,7 @@ pub enum BackendKind {
 ///
 /// Layout: `data[(i * n + j) * k + lane]`, per-lane permutation
 /// `perm[lane * n + i]`. The data plane doubles as the Jacobian stamping
-/// area — the sweep copies its base plane in, stamps non-linear
+/// area — the engine copies its step matrix in, stamps non-linear
 /// contributions per lane, then factors in place, exactly mirroring the
 /// serial [`crate::linalg::LuFactors`] elimination per lane (minus the
 /// `m != 0.0` skip guard, which only ever skips exact no-op updates).

@@ -133,6 +133,10 @@ impl Table2d {
     }
 
     fn locate(axis: &[f64], q: f64) -> (usize, f64) {
+        // A NaN query has no cell: interpolate to NaN instead of indexing.
+        if q.is_nan() {
+            return (0, f64::NAN);
+        }
         // Clamp the query into the axis span, then find the cell.
         let n = axis.len();
         if q <= axis[0] {
@@ -152,6 +156,7 @@ impl Table2d {
     /// Queries outside the grid are clamped to the boundary; the derivative
     /// reported there is the edge cell's gradient, which keeps Newton
     /// productive even on brief excursions outside the characterized range.
+    /// A NaN coordinate gives a NaN value and gradient.
     pub fn eval(&self, x: f64, y: f64) -> TableEval {
         let (ix, fx) = Self::locate(&self.x_axis, x);
         let (iy, fy) = Self::locate(&self.y_axis, y);
@@ -236,6 +241,11 @@ mod tests {
         assert!((inside.z - outside.z).abs() < 1e-12);
         // Gradient survives clamping (edge cell gradient).
         assert!(outside.dz_dx.abs() > 0.0);
+        // Infinities clamp too; NaN has no cell and interpolates to NaN.
+        assert!((t.value(f64::INFINITY, f64::NEG_INFINITY) - t.at(4, 0)).abs() < 1e-12);
+        for (x, y) in [(f64::NAN, 0.5), (0.5, f64::NAN)] {
+            assert!(t.value(x, y).is_nan(), "({x}, {y})");
+        }
     }
 
     #[test]

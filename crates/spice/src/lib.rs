@@ -25,11 +25,12 @@
 //! * [`solver`] — dense/sparse backend selection ([`solver::SolverKind`])
 //!   shared by every repeated solve in the workspace.
 //! * [`backend`] — [`backend::BatchedDenseLu`], the K-lane dense LU
-//!   behind the batched kernels (lane-outer replay of the serial kernel).
-//! * [`sweep`] — [`sweep::BatchedSweep`], the K-lane batched value plane
-//!   over [`solver::SystemSolver`]: one symbolic analysis and one pattern,
-//!   `K` struct-of-arrays value vectors through DC Newton and both
-//!   transient steppers (corner sweeps, characterization grids).
+//!   behind the macromodel engine's batched alignment lanes.
+//!
+//! Characterization grids and deck cases are serial solves: a
+//! [`tran::TranWorkspace`] (or an [`mna::MnaSystem`] plus a
+//! [`solver::SystemSolver`] for DC grids) pays assembly and the symbolic
+//! analysis once, and every grid point reuses it.
 //!
 //! ## Quickstart
 //!
@@ -65,7 +66,6 @@ pub mod netlist;
 pub mod parser;
 pub mod solver;
 pub mod sparse;
-pub mod sweep;
 pub mod tran;
 pub mod units;
 pub mod waveform;
@@ -89,8 +89,7 @@ pub mod prelude {
         dump_parsed, parse_deck, parse_deck_file, write_deck, ParsedDeck, SnaCard,
     };
     pub use crate::solver::{SolverKind, SystemSolver, SPARSE_AUTO_THRESHOLD};
-    pub use crate::sparse::{BatchedSparseLu, SparseLu, SparseMatrix, Symbolic};
-    pub use crate::sweep::BatchedSweep;
+    pub use crate::sparse::{SparseLu, SparseMatrix, Symbolic};
     pub use crate::tran::{transient, transient_with, TranParams, TranResult, TranWorkspace};
     pub use crate::units::*;
     pub use crate::waveform::{GlitchError, GlitchMetrics, Waveform};

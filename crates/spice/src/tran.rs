@@ -188,6 +188,9 @@ pub struct TranWorkspace {
     neg: Vec<f64>,
     dx: Vec<f64>,
     f_prev: Vec<f64>,
+    /// `.IC` overrides as `(unknown row, volts)`, applied to the starting
+    /// state of every run (see [`TranWorkspace::with_ics`]).
+    ics: Vec<(usize, f64)>,
     // Circuit fingerprint guarding workspace reuse.
     node_count: usize,
     element_count: usize,
@@ -226,7 +229,7 @@ fn fnv_str(s: &str) -> u64 {
 /// Order-sensitive FNV-1a hash of every stamped element value *and* every
 /// terminal wiring (source waveforms excluded — those are the one thing a
 /// workspace re-run may legitimately change).
-pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
+fn circuit_value_hash(circuit: &Circuit) -> u64 {
     let mut h = Fnv::new();
     let mut mix = |v: u64| h.write_u64(v);
     let n = |id: &NodeId| if id.is_ground() { 0 } else { id.index() as u64 };
@@ -321,108 +324,6 @@ pub(crate) fn circuit_value_hash(circuit: &Circuit) -> u64 {
     h.finish()
 }
 
-/// Order-sensitive FNV-1a hash of the circuit *wiring only*: element kind
-/// tags and terminal nodes, no values. Lanes of a batched sweep must share
-/// this hash (identical topology) while their element values — and hence
-/// their [`circuit_value_hash`] — may legitimately differ per lane.
-pub(crate) fn circuit_topology_hash(circuit: &Circuit) -> u64 {
-    let mut h = Fnv::new();
-    let mut mix = |v: u64| h.write_u64(v);
-    let n = |id: &NodeId| if id.is_ground() { 0 } else { id.index() as u64 };
-    for el in circuit.elements() {
-        match el {
-            Element::Resistor { a, b, .. } => {
-                mix(1);
-                mix(n(a) | n(b) << 32);
-            }
-            Element::Capacitor { a, b, .. } => {
-                mix(2);
-                mix(n(a) | n(b) << 32);
-            }
-            Element::VSource { pos, neg, .. } => {
-                mix(3);
-                mix(n(pos) | n(neg) << 32);
-            }
-            Element::ISource { pos, neg, .. } => {
-                mix(4);
-                mix(n(pos) | n(neg) << 32);
-            }
-            Element::LinearVccs {
-                out_p,
-                out_n,
-                ctrl_p,
-                ctrl_n,
-                ..
-            } => {
-                mix(5);
-                mix(n(out_p) | n(out_n) << 16 | n(ctrl_p) << 32 | n(ctrl_n) << 48);
-            }
-            Element::TableVccs {
-                out_p, out_n, ctrl, ..
-            } => {
-                mix(6);
-                mix(n(out_p) | n(out_n) << 16 | n(ctrl) << 32);
-            }
-            Element::Mosfet { d, g, s, b, .. } => {
-                mix(7);
-                mix(n(d) | n(g) << 16 | n(s) << 32 | n(b) << 48);
-            }
-            Element::Vcvs {
-                out_p,
-                out_n,
-                ctrl_p,
-                ctrl_n,
-                ..
-            } => {
-                mix(8);
-                mix(n(out_p) | n(out_n) << 16 | n(ctrl_p) << 32 | n(ctrl_n) << 48);
-            }
-            // The controlling-source *name* is part of the topology: it
-            // decides which branch column the F/H stamp lands in.
-            Element::Cccs {
-                out_p, out_n, ctrl, ..
-            } => {
-                mix(9);
-                mix(n(out_p) | n(out_n) << 32);
-                mix(fnv_str(ctrl));
-            }
-            Element::Ccvs {
-                out_p, out_n, ctrl, ..
-            } => {
-                mix(10);
-                mix(n(out_p) | n(out_n) << 32);
-                mix(fnv_str(ctrl));
-            }
-            Element::Diode { p, n: dn, .. } => {
-                mix(11);
-                mix(n(p) | n(dn) << 32);
-            }
-        }
-    }
-    h.finish()
-}
-
-impl TranResult {
-    /// Assemble a result from raw parts (batched-sweep internal).
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        traces: Vec<Vec<f64>>,
-        branch_currents: Vec<Vec<f64>>,
-        node_names: Vec<String>,
-        vsource_names: Vec<String>,
-        newton_iterations: usize,
-    ) -> Self {
-        Self {
-            times,
-            traces,
-            branch_currents,
-            node_names,
-            vsource_names,
-            newton_iterations,
-        }
-    }
-}
-
 impl TranWorkspace {
     /// Assemble the workspace for `circuit` with the given solver
     /// selection.
@@ -446,11 +347,28 @@ impl TranWorkspace {
             neg: vec![0.0; dim],
             dx: vec![0.0; dim],
             f_prev: vec![0.0; dim],
+            ics: Vec::new(),
             node_count: circuit.node_count(),
             element_count: circuit.elements().len(),
             value_hash: circuit_value_hash(circuit),
             stats: TranStats::default(),
         })
+    }
+
+    /// Start every run on this workspace from `.IC` node voltages: after
+    /// the DC solve (or the all-zeros start when `dc_init` is false), each
+    /// listed node's voltage is overwritten before the first step. This is
+    /// the SPICE `.IC` approximation: the override biases the initial state
+    /// rather than adding a constraint row, so the first steps relax any
+    /// resulting KCL imbalance. Ground and unknown nodes are ignored.
+    pub fn with_ics(mut self, ics: &[(NodeId, f64)]) -> Self {
+        let n_nodes = self.mna.n_nodes();
+        self.ics = ics
+            .iter()
+            .filter_map(|&(node, v)| Some((self.mna.node_unknown(node)?, v)))
+            .filter(|&(row, _)| row < n_nodes)
+            .collect();
+        self
     }
 
     /// Unknown count of the underlying MNA system.
@@ -552,6 +470,9 @@ pub fn transient_until(
     } else {
         vec![0.0; dim]
     };
+    for &(row, v) in &ws.ics {
+        x[row] = v;
+    }
     let mut x_next = vec![0.0; dim];
 
     let alpha = 2.0 / params.dt;
@@ -826,6 +747,24 @@ mod tests {
         assert!(err.to_string().contains("too long"), "{err}");
         let at_cap = TranParams::new(MAX_STEPS as f64 * 1e-12, 1e-12);
         assert_eq!(step_count(&at_cap).unwrap(), MAX_STEPS);
+    }
+
+    #[test]
+    fn ics_override_the_starting_state_of_every_run() {
+        let (ckt, out) = rc_circuit(1e3, 1e-12, SourceWaveform::Dc(1.0));
+        let p = TranParams::new(5.0 * NS, 5.0 * PS);
+        // Ground is ignored; `out` starts discharged instead of at its
+        // 1 V operating point and recharges with tau = 1 ns.
+        let mut ws = TranWorkspace::new(&ckt, p.solver)
+            .unwrap()
+            .with_ics(&[(Circuit::gnd(), 3.0), (out, 0.0)]);
+        for _ in 0..2 {
+            let w = transient_with(&ckt, &p, &mut ws)
+                .unwrap()
+                .node_waveform(out);
+            assert_eq!(w.value_at(0.0), 0.0);
+            assert!((w.value_at(1.0 * NS) - (1.0 - (-1.0_f64).exp())).abs() < 5e-3);
+        }
     }
 
     fn ramp_rc() -> (Circuit, NodeId, TranParams) {

@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
-use sna_spice::sweep::BatchedSweep;
 use sna_spice::tran::{transient_with, TranParams, TranWorkspace};
 use sna_spice::units::{NS, PS};
 
@@ -152,34 +151,6 @@ fn assert_fixed_step_alloc_free(ckt: &Circuit, kind: SolverKind, dt: f64, slack:
     );
 }
 
-/// K-lane variants of a base circuit differing only in the noisy source's
-/// waveform (the only thing [`BatchedSweep`] allows to change per lane).
-fn lanes_of(base: &Circuit, source: &str, waves: &[SourceWaveform]) -> Vec<Circuit> {
-    waves
-        .iter()
-        .map(|w| {
-            let mut ckt = base.clone();
-            ckt.set_source_wave(source, w.clone()).unwrap();
-            ckt
-        })
-        .collect()
-}
-
-/// The batched stepping loops must match the serial contract: a 4× horizon
-/// costs at most `slack` more allocations than 1×, across all K lanes.
-fn assert_batched_alloc_free(lanes: &[Circuit], kind: SolverKind, dt: f64, slack: u64) {
-    let mut sweep = BatchedSweep::new(lanes, kind).unwrap();
-    let short_params = TranParams::new(0.4 * NS, dt);
-    let long_params = TranParams::new(1.6 * NS, dt);
-    sweep.transient(lanes, &short_params).unwrap();
-    let (short, _) = allocs(|| sweep.transient(lanes, &short_params));
-    let (long, _) = allocs(|| sweep.transient(lanes, &long_params));
-    assert!(
-        long <= short + slack,
-        "{kind:?} batched: {long} allocations at 4x horizon vs {short} at 1x"
-    );
-}
-
 #[test]
 fn stepping_loops_do_not_allocate_per_step() {
     // Run with the observability layer fully armed: counters are always on,
@@ -199,34 +170,4 @@ fn stepping_loops_do_not_allocate_per_step() {
         assert_fixed_step_alloc_free(&lin, kind, 2.0 * PS, 32);
         assert_fixed_step_alloc_free(&nl, kind, 1.0 * PS, 32);
     }
-    // Batched K-lane sweeps: same steady-state contract, K=4. The recording
-    // vectors are per lane, so the slack is proportionally wider; the
-    // stepping loops themselves must stay allocation-free.
-    let lin_lanes = lanes_of(
-        &lin,
-        "Vin",
-        &(0..4)
-            .map(|i| SourceWaveform::Ramp {
-                v0: 0.0,
-                v1: 0.3 * (i + 1) as f64,
-                t_start: 0.1 * NS,
-                t_rise: 100.0 * PS,
-            })
-            .collect::<Vec<_>>(),
-    );
-    let nl_lanes = lanes_of(
-        &nl,
-        "Vin",
-        &(0..4)
-            .map(|i| SourceWaveform::TriangleGlitch {
-                v_base: 1.2,
-                v_peak: 0.9 - 0.2 * i as f64,
-                t_start: 0.2 * NS,
-                t_rise: 150.0 * PS,
-                t_fall: 150.0 * PS,
-            })
-            .collect::<Vec<_>>(),
-    );
-    assert_batched_alloc_free(&lin_lanes, SolverKind::Sparse, 2.0 * PS, 256);
-    assert_batched_alloc_free(&nl_lanes, SolverKind::Dense, 1.0 * PS, 256);
 }

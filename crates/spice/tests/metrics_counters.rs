@@ -9,7 +9,6 @@ use sna_obs::{local_snapshot, Metric};
 use sna_spice::devices::{MosPolarity, MosfetModel, SourceWaveform};
 use sna_spice::netlist::Circuit;
 use sna_spice::solver::SolverKind;
-use sna_spice::sweep::BatchedSweep;
 use sna_spice::tran::{transient_until, transient_with, TranParams, TranWorkspace};
 use sna_spice::units::{NS, PS};
 
@@ -180,41 +179,4 @@ fn stopped_run_counts_only_the_steps_it_ran() {
     assert_eq!(d.get(Metric::TranCalls), 1);
     assert_eq!(d.get(Metric::TranSteps), ran);
     assert_eq!(d.get(Metric::SolverSolves), ran + 1);
-}
-
-/// Batched K-lane sweep: lane accounting is exact — the transient's
-/// internal DC init is itself a sweep call, so calls/lanes double.
-#[test]
-fn batched_sweep_counters_match_hand_check() {
-    let base = ladder(16);
-    let lanes: Vec<Circuit> = (0..4)
-        .map(|i| {
-            let mut ckt = base.clone();
-            ckt.set_source_wave(
-                "Vin",
-                SourceWaveform::Ramp {
-                    v0: 0.0,
-                    v1: 0.3 * (i + 1) as f64,
-                    t_start: 0.1 * NS,
-                    t_rise: 100.0 * PS,
-                },
-            )
-            .unwrap();
-            ckt
-        })
-        .collect();
-    let mut sweep = BatchedSweep::new(&lanes, SolverKind::Dense).unwrap();
-    let params = TranParams::new(1.0 * NS, 2.0 * PS);
-    let before = local_snapshot();
-    sweep.transient(&lanes, &params).unwrap();
-    let d = local_snapshot().since(&before);
-    let steps = (1.0 * NS / (2.0 * PS)).round() as u64;
-
-    assert_eq!(d.get(Metric::SweepCalls), 2, "transient + its DC init");
-    assert_eq!(d.get(Metric::SweepLanes), 8, "4 lanes counted by each call");
-    assert_eq!(d.get(Metric::SweepSteps), steps);
-    // Linear lanes: the masked Newton loop never runs and nothing falls
-    // back to the serial ladder.
-    assert_eq!(d.get(Metric::SweepLaneNewtonIterations), 0);
-    assert_eq!(d.get(Metric::SweepSerialFallbacks), 0);
 }
